@@ -27,12 +27,8 @@ from .evaluate import (
 )
 from .features import (
     Agg,
-    CategoricalAggregates,
     FeatureColumn,
     FeatureDescriptor,
-    NumericAggregates,
-    aggregate_categorical,
-    aggregate_numeric,
     contains_enabled,
     features_for_path,
 )

@@ -15,13 +15,12 @@ cell is undefined when the bag is empty, or when every element is missing
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
-from .joinpath import JoinInstantiation, JoinPath, project_values
+from .joinpath import JoinInstantiation, JoinPath, ValueBags, project_values
 from .params import LearnParams
 from .storage import CategoricalColumn, Database, NumericColumn
 
@@ -111,85 +110,6 @@ class FeatureColumn:
         )
 
 
-# ---------------------------------------------------------------------------
-# Scalar aggregation (single multiset).  Missing markers are None.
-
-
-@dataclass(frozen=True)
-class NumericAggregates:
-    avg: float | None
-    std: float | None
-    var: float | None
-    max: float | None
-    min: float | None
-    sum: float | None
-    count: int | None
-
-
-@dataclass(frozen=True)
-class CategoricalAggregates:
-    count: int | None
-    distinct_count: int | None
-    contains: dict[str, bool | None] | None
-
-
-def aggregate_numeric(values: Iterable[float | None]) -> NumericAggregates:
-    """Numeric aggregate family over one multiset; None fields are undefined.
-
-    Sums run sequentially in multiset order so results are bit-identical to
-    the columnar pipeline; predictions computed on demand then route exactly
-    like the materialized cells they were trained on.
-    """
-    vals = list(values)
-    n = len(vals)
-    if n == 0:
-        return NumericAggregates(None, None, None, None, None, None, None)
-    present = [float(v) for v in vals if v is not None]
-    if not present:
-        return NumericAggregates(None, None, None, None, None, None, n)
-    k = len(present)
-    total = 0.0
-    for x in present:
-        total += x
-    avg = total / k
-    squares = 0.0
-    for x in present:
-        d = x - avg
-        squares += d * d
-    var = max(squares / k, 0.0)  # population variance
-    return NumericAggregates(
-        avg=avg,
-        std=math.sqrt(var),
-        var=var,
-        max=max(present),
-        min=min(present),
-        sum=total,
-        count=n,
-    )
-
-
-def aggregate_categorical(
-    values: Iterable[str | None], domain: Iterable[str], emit_contains: bool
-) -> CategoricalAggregates:
-    """Categorical aggregate family over one multiset.
-
-    ``domain`` is the attribute's full base-table dictionary; contains cells
-    are produced for every domain value when ``emit_contains`` is set.
-    """
-    vals = list(values)
-    dom = list(domain)
-    n = len(vals)
-    if n == 0:
-        contains = {v: None for v in dom} if emit_contains else None
-        return CategoricalAggregates(None, None, contains)
-    present = {v for v in vals if v is not None}
-    if emit_contains:
-        contains = {v: (v in present) if present else None for v in dom}
-    else:
-        contains = None
-    return CategoricalAggregates(count=n, distinct_count=len(present), contains=contains)
-
-
 def contains_enabled(domain_size: int, table_rows: int, params: LearnParams) -> bool:
     """Contains features apply only to domains strictly below both thresholds.
 
@@ -199,136 +119,206 @@ def contains_enabled(domain_size: int, table_rows: int, params: LearnParams) -> 
 
 
 # ---------------------------------------------------------------------------
-# Vectorized aggregation over all instances of an instantiation.
+# Vectorized aggregation over all instances of an instantiation.  Training
+# (``features_for_path``) and prediction (``feature_cells``) both build their
+# cells from the pieces below.
 
 
 def _segment_ids(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
 
 
-def _numeric_columns(path: JoinPath, attr: str, bags) -> list[FeatureColumn]:
-    n = len(bags.offsets) - 1
-    lengths = np.diff(bags.offsets)
-    seg = _segment_ids(lengths)
-    nm = ~bags.missing
-    seg_nm = seg[nm]
-    vals_nm = bags.values[nm]
-
-    k = np.bincount(seg_nm, minlength=n).astype(np.float64)
-    has_vals = k > 0
-    s = np.bincount(seg_nm, weights=vals_nm, minlength=n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = s / k
-    dev = vals_nm - avg[seg_nm]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = np.bincount(seg_nm, weights=dev * dev, minlength=n) / k
-    var = np.where(has_vals, np.maximum(var, 0.0), np.nan)
-    std = np.sqrt(var)
-    mx = np.full(n, -np.inf)
-    np.maximum.at(mx, seg_nm, vals_nm)
-    mn = np.full(n, np.inf)
-    np.minimum.at(mn, seg_nm, vals_nm)
-
-    nonempty = lengths > 0
-    cells = [
-        (Agg.AVG, avg, has_vals),
-        (Agg.STD, std, has_vals),
-        (Agg.VAR, var, has_vals),
-        (Agg.MAX, mx, has_vals),
-        (Agg.MIN, mn, has_vals),
-        (Agg.SUM, s, has_vals),
-        (Agg.COUNT, lengths.astype(np.float64), nonempty),
-    ]
-    return [
-        FeatureColumn(
-            descriptor=FeatureDescriptor(path=path, attribute=attr, agg=agg),
-            kind=NUMERIC,
-            values=np.where(defined, values, np.nan),
-            defined=defined.copy(),
-        )
-        for agg, values, defined in cells
-    ]
+_NUMERIC_FAMILY = (Agg.AVG, Agg.STD, Agg.VAR, Agg.MAX, Agg.MIN, Agg.SUM, Agg.COUNT)
+_NUMERIC_AGGREGATE = {
+    Agg.AVG: "_avg",
+    Agg.STD: "_std",
+    Agg.VAR: "_var",
+    Agg.MAX: "_max",
+    Agg.MIN: "_min",
+    Agg.SUM: "_sum",
+}
 
 
-def _categorical_columns(path: JoinPath, attr: str, bags, emit_contains: bool) -> list[FeatureColumn]:
-    n = len(bags.offsets) - 1
-    lengths = np.diff(bags.offsets)
-    seg = _segment_ids(lengths)
-    nm = ~bags.missing
-    seg_nm = seg[nm]
-    codes_nm = bags.values[nm]
-    dom = bags.dictionary or ()
-    k_dom = len(dom)
+class BagAggregates:
+    """The aggregates of one attribute over every bag of an instantiation.
 
-    nonempty = lengths > 0
-    k_nm = np.bincount(seg_nm, minlength=n)
-    has_vals = k_nm > 0
+    Each aggregate is computed on first use, for all bags at once, and kept.
+    Training takes a whole family through :meth:`column`, prediction the one
+    aggregate a node tests through :meth:`cells`; both run the same arithmetic.
+    """
 
-    if k_dom and seg_nm.size:
-        pair = seg_nm * k_dom + codes_nm
-        uniq = np.unique(pair)
-        distinct = np.bincount(uniq // k_dom, minlength=n).astype(np.float64)
-    else:
-        distinct = np.zeros(n, dtype=np.float64)
+    def __init__(self, bags: ValueBags) -> None:
+        self.dictionary = bags.dictionary or ()
+        self.n = len(bags.offsets) - 1
+        self.lengths = bags.offsets[1:] - bags.offsets[:-1]
+        present = ~bags.missing
+        self.seg = _segment_ids(self.lengths)[present]  # the bag of each non-missing value
+        self.values = bags.values[present]
 
-    cols = [
-        FeatureColumn(
-            descriptor=FeatureDescriptor(path=path, attribute=attr, agg=Agg.COUNT),
-            kind=NUMERIC,
-            values=np.where(nonempty, lengths.astype(np.float64), np.nan),
-            defined=nonempty.copy(),
-        ),
-        FeatureColumn(
-            descriptor=FeatureDescriptor(path=path, attribute=attr, agg=Agg.DISTINCT_COUNT),
-            kind=NUMERIC,
-            values=np.where(nonempty, distinct, np.nan),
-            defined=nonempty.copy(),
-        ),
+    @cached_property
+    def nonempty(self) -> np.ndarray:
+        return self.lengths > 0
+
+    @cached_property
+    def has_values(self) -> np.ndarray:
+        return self._k > 0
+
+    @cached_property
+    def _k(self) -> np.ndarray:
+        return np.bincount(self.seg, minlength=self.n).astype(np.float64)
+
+    @cached_property
+    def _divisor(self) -> np.ndarray:
+        # Bags without values divide by 1 instead of 0; their cells are undefined.
+        return np.maximum(self._k, 1.0)
+
+    @cached_property
+    def _sum(self) -> np.ndarray:
+        return np.bincount(self.seg, weights=self.values, minlength=self.n)
+
+    @cached_property
+    def _avg(self) -> np.ndarray:
+        return self._sum / self._divisor
+
+    @cached_property
+    def _var(self) -> np.ndarray:
+        dev = self.values - self._avg[self.seg]
+        var = np.bincount(self.seg, weights=dev * dev, minlength=self.n) / self._divisor
+        return np.where(self.has_values, np.maximum(var, 0.0), np.nan)  # population variance
+
+    @cached_property
+    def _std(self) -> np.ndarray:
+        return np.sqrt(self._var)
+
+    @cached_property
+    def _max(self) -> np.ndarray:
+        out = np.full(self.n, -np.inf)
+        np.maximum.at(out, self.seg, self.values)
+        return out
+
+    @cached_property
+    def _min(self) -> np.ndarray:
+        out = np.full(self.n, np.inf)
+        np.minimum.at(out, self.seg, self.values)
+        return out
+
+    @cached_property
+    def _distinct(self) -> np.ndarray:
+        k_dom = len(self.dictionary)
+        if k_dom and self.seg.size:
+            uniq = np.unique(self.seg * k_dom + self.values)
+            return np.bincount(uniq // k_dom, minlength=self.n).astype(np.float64)
+        return np.zeros(self.n, dtype=np.float64)
+
+    def _contains(self, value) -> np.ndarray:
+        """Does ``value`` occur in each bag; one pass over the values, so O(bags + values)."""
+        out = np.zeros(self.n, dtype=bool)
+        if value in self.dictionary:  # a value missing from this database's dictionary occurs in no bag
+            out[self.seg[self.values == self.dictionary.index(value)]] = True
+        return out
+
+    def cells(self, descriptor: FeatureDescriptor) -> tuple[str, np.ndarray, np.ndarray]:
+        """(kind, values, defined) of one aggregate of this attribute.
+
+        Values of undefined cells are unspecified; :meth:`column` sets them.
+        """
+        agg = descriptor.agg
+        if agg is Agg.CONTAINS:
+            return BOOLEAN, self._contains(descriptor.value), self.has_values
+        if agg is Agg.COUNT:
+            return NUMERIC, self.lengths.astype(np.float64), self.nonempty
+        if agg is Agg.DISTINCT_COUNT:
+            return NUMERIC, self._distinct, self.nonempty
+        return NUMERIC, getattr(self, _NUMERIC_AGGREGATE[agg]), self.has_values
+
+    def column(self, descriptor: FeatureDescriptor) -> FeatureColumn:
+        """The feature column of one aggregate; undefined numeric cells hold NaN."""
+        kind, values, defined = self.cells(descriptor)
+        values = np.where(defined, values, np.nan) if kind == NUMERIC else values.copy()
+        return FeatureColumn(descriptor=descriptor, kind=kind, values=values, defined=defined.copy())
+
+
+def _numeric_columns(path: JoinPath, attr: str, bags: ValueBags) -> list[FeatureColumn]:
+    aggregates = BagAggregates(bags)
+    return [aggregates.column(FeatureDescriptor(path=path, attribute=attr, agg=agg)) for agg in _NUMERIC_FAMILY]
+
+
+def _categorical_columns(path: JoinPath, attr: str, bags: ValueBags, emit_contains: bool) -> list[FeatureColumn]:
+    aggregates = BagAggregates(bags)
+    descriptors = [
+        FeatureDescriptor(path=path, attribute=attr, agg=Agg.COUNT),
+        FeatureDescriptor(path=path, attribute=attr, agg=Agg.DISTINCT_COUNT),
     ]
     if emit_contains:
-        present = np.zeros((n, k_dom), dtype=bool)
-        if k_dom and seg_nm.size:
-            present[seg_nm, codes_nm] = True
-        for code, value in enumerate(dom):
-            cols.append(
-                FeatureColumn(
-                    descriptor=FeatureDescriptor(path=path, attribute=attr, agg=Agg.CONTAINS, value=value),
-                    kind=BOOLEAN,
-                    values=present[:, code].copy(),
-                    defined=has_vals.copy(),
-                )
-            )
-    return cols
+        descriptors += [
+            FeatureDescriptor(path=path, attribute=attr, agg=Agg.CONTAINS, value=value)
+            for value in aggregates.dictionary
+        ]
+    return [aggregates.column(d) for d in descriptors]
 
 
-def _identity_columns(db: Database, inst: JoinInstantiation, attrs) -> list[FeatureColumn]:
-    n = inst.n_instances
-    lengths = inst.bag_sizes()
-    if lengths.size and lengths.max() > 1:
+def _nonempty_single_bags(inst: JoinInstantiation) -> np.ndarray:
+    """Nonempty mask of a determinate path's bags, which hold one row at most.
+
+    ``inst.rows`` then holds exactly the row of each nonempty bag, in bag order.
+    """
+    has = inst.bag_sizes() > 0
+    if np.count_nonzero(has) != len(inst.rows):
         raise AssertionError(f"determinate path {inst.path.render()} produced a bag of size > 1")
-    has = lengths > 0
-    first = np.zeros(n, dtype=np.int64)
-    first[has] = inst.rows[inst.offsets[:-1][has]]
+    return has
 
-    table = db.tables[inst.path.terminal_table]
-    out: list[FeatureColumn] = []
-    for spec in attrs:
-        col = table.columns[spec.name]
-        desc = FeatureDescriptor(path=inst.path, attribute=spec.name, agg=Agg.IDENTITY)
-        if isinstance(col, NumericColumn):
-            defined = has & ~col.missing[first]
-            values = np.where(defined, col.values[first], np.nan)
-            out.append(FeatureColumn(descriptor=desc, kind=NUMERIC, values=values, defined=defined))
-        else:
-            assert isinstance(col, CategoricalColumn)
-            defined = has & ~col.missing[first]
-            values = np.where(defined, col.codes[first], -1).astype(np.int64)
-            out.append(
-                FeatureColumn(
-                    descriptor=desc, kind=CATEGORICAL, values=values, defined=defined, dictionary=col.dictionary
-                )
-            )
-    return out
+
+def _identity_column(descriptor: FeatureDescriptor, col, rows: np.ndarray, has: np.ndarray) -> FeatureColumn:
+    """Identity cells; undefined numeric cells hold NaN, categorical ones code -1.
+
+    ``rows`` holds the row of each bag that ``has`` marks nonempty.
+    """
+    present = ~col.missing[rows]
+    defined = has.copy()
+    defined[has] = present
+    rows = rows[present]
+    if isinstance(col, NumericColumn):
+        values = np.full(len(has), np.nan)
+        values[defined] = col.values[rows]
+        return FeatureColumn(descriptor=descriptor, kind=NUMERIC, values=values, defined=defined)
+    assert isinstance(col, CategoricalColumn)
+    values = np.full(len(has), -1, dtype=np.int64)
+    values[defined] = col.codes[rows]
+    return FeatureColumn(
+        descriptor=descriptor, kind=CATEGORICAL, values=values, defined=defined, dictionary=col.dictionary
+    )
+
+
+def _is_empty_column(inst: JoinInstantiation) -> FeatureColumn:
+    return FeatureColumn(
+        descriptor=FeatureDescriptor(path=inst.path, attribute=None, agg=Agg.IS_EMPTY),
+        kind=BOOLEAN,
+        values=(inst.bag_sizes() == 0),
+        defined=np.ones(inst.n_instances, dtype=bool),
+    )
+
+
+def feature_cells(
+    db: Database, inst: JoinInstantiation, descriptor: FeatureDescriptor, aggregates: dict[str, BagAggregates]
+) -> FeatureColumn:
+    """The cells of one descriptor of ``inst.path`` over the instances of ``inst``.
+
+    Runs only the part of ``features_for_path``'s code that the descriptor
+    needs, so its defined cells equal that column's bit for bit; values of
+    undefined cells are unspecified.  ``aggregates`` keeps each attribute's
+    :class:`BagAggregates` of ``inst`` between calls, so aggregates of one
+    attribute share their intermediates.
+    """
+    if descriptor.agg is Agg.IS_EMPTY:
+        return _is_empty_column(inst)
+    if descriptor.agg is Agg.IDENTITY:
+        col = db.tables[inst.path.terminal_table].columns[descriptor.attribute]
+        return _identity_column(descriptor, col, inst.rows, _nonempty_single_bags(inst))
+    found = aggregates.get(descriptor.attribute)
+    if found is None:
+        found = aggregates[descriptor.attribute] = BagAggregates(project_values(db, inst, descriptor.attribute))
+    kind, values, defined = found.cells(descriptor)
+    return FeatureColumn(descriptor=descriptor, kind=kind, values=values, defined=defined)
 
 
 def features_for_path(db: Database, inst: JoinInstantiation, params: LearnParams) -> list[FeatureColumn]:
@@ -347,18 +337,18 @@ def features_for_path(db: Database, inst: JoinInstantiation, params: LearnParams
         attrs = [c for c in attrs if c.name != db.catalog.target_attribute]
 
     if path.determinate:
-        cols = _identity_columns(db, inst, attrs)
-    else:
-        n = inst.n_instances
-        lengths = inst.bag_sizes()
+        has = _nonempty_single_bags(inst)
         cols = [
-            FeatureColumn(
-                descriptor=FeatureDescriptor(path=path, attribute=None, agg=Agg.IS_EMPTY),
-                kind=BOOLEAN,
-                values=(lengths == 0),
-                defined=np.ones(n, dtype=bool),
+            _identity_column(
+                FeatureDescriptor(path=path, attribute=spec.name, agg=Agg.IDENTITY),
+                table.columns[spec.name],
+                inst.rows,
+                has,
             )
+            for spec in attrs
         ]
+    else:
+        cols = [_is_empty_column(inst)]
         for spec in attrs:
             bags = project_values(db, inst, spec.name)
             if bags.kind == "numeric":

@@ -185,23 +185,16 @@ def root_instantiation(db: Database, instance_ids=None) -> JoinInstantiation:
     )
 
 
-def extend_instantiation(db: Database, inst: JoinInstantiation, hop: Hop, restrict_to=None) -> JoinInstantiation:
-    """Extend every bag by one hop; only the new hop's joins are computed.
-
-    With ``restrict_to`` the extension covers only that instance subset.
-    Each source terminal row costs one indexed lookup, which is recorded in
-    ``db.stats`` under the extended path's length.
-    """
+def join_hop(db: Database, inst: JoinInstantiation, hop: Hop) -> JoinInstantiation:
+    """Extend every bag of ``inst`` by one hop; only the new hop's joins are computed."""
     if inst.path.terminal_table != hop.from_table:
         raise ValueError(f"instantiation terminal {inst.path.terminal_table} != hop source {hop.from_table}")
-    base = inst if restrict_to is None else inst.restrict(restrict_to)
-
     col = db.tables[hop.from_table].columns[hop.from_column]
     if not isinstance(col, KeyColumn):
         raise ValueError(f"{hop.from_table}.{hop.from_column} is not a key column")
     index = db.indexes[(hop.to_table, hop.to_column)]
 
-    codes = col.codes[base.rows]
+    codes = col.codes[inst.rows]
     starts = index.starts[codes]
     lengths = index.starts[codes + 1] - starts
     cum = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
@@ -211,11 +204,23 @@ def extend_instantiation(db: Database, inst: JoinInstantiation, hop: Hop, restri
         new_rows = index.rows[idx]
     else:
         new_rows = np.empty(0, dtype=np.int64)
-    new_offsets = cum[base.offsets]
+    new_offsets = cum[inst.offsets]
+    return JoinInstantiation(
+        path=inst.path.extended(hop), instance_ids=inst.instance_ids, offsets=new_offsets, rows=new_rows
+    )
 
-    new_path = base.path.extended(hop)
-    db.stats.count_lookups(len(new_path.hops), len(base.rows))
-    return JoinInstantiation(path=new_path, instance_ids=base.instance_ids, offsets=new_offsets, rows=new_rows)
+
+def extend_instantiation(db: Database, inst: JoinInstantiation, hop: Hop, restrict_to=None) -> JoinInstantiation:
+    """Extend every bag by one hop, as feature construction does.
+
+    With ``restrict_to`` the extension covers only that instance subset.
+    Each source terminal row costs one indexed lookup, which is recorded in
+    ``db.stats`` under the extended path's length.
+    """
+    base = inst if restrict_to is None else inst.restrict(restrict_to)
+    out = join_hop(db, base, hop)
+    db.stats.count_lookups(len(out.path.hops), len(base.rows))
+    return out
 
 
 @dataclass(eq=False)

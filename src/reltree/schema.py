@@ -25,6 +25,7 @@ import logging
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import yaml
 
@@ -125,6 +126,25 @@ class SchemaCatalog:
     @property
     def table_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tables)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable hash of the schema structure (not the data), computed once."""
+        doc = {
+            "target": f"{self.target_table}.{self.target_attribute}",
+            "tables": [
+                {
+                    "name": t.name,
+                    "columns": [
+                        {"name": c.name, "kind": c.kind, "ref": [c.ref_table, c.ref_column] if c.ref_table else None}
+                        for c in t.columns
+                    ],
+                }
+                for t in self.tables
+            ],
+        }
+        blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()
 
 
 def _parse_column(table: str, name, type_str) -> ColumnSpec:
@@ -311,18 +331,4 @@ def is_associative(catalog: SchemaCatalog, table: str) -> bool:
 
 def fingerprint(catalog: SchemaCatalog) -> str:
     """Stable hash of the schema structure (not the data)."""
-    doc = {
-        "target": f"{catalog.target_table}.{catalog.target_attribute}",
-        "tables": [
-            {
-                "name": t.name,
-                "columns": [
-                    {"name": c.name, "kind": c.kind, "ref": [c.ref_table, c.ref_column] if c.ref_table else None}
-                    for c in t.columns
-                ],
-            }
-            for t in catalog.tables
-        ],
-    }
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return catalog.fingerprint

@@ -17,24 +17,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .features import (
     AGG_NAMES,
     BOOLEAN,
+    CATEGORICAL,
     NUMERIC,
-    Agg,
     FeatureColumn,
     FeatureDescriptor,
-    aggregate_categorical,
-    aggregate_numeric,
+    feature_cells,
 )
-from .joinpath import Hop, JoinPath
+from .joinpath import Hop, JoinInstantiation, JoinPath, join_hop
 from .ldt import LocalDataTable, build_root_ldt, extend_ldt, partition_ldt
 from .params import LearnParams
 from .schema import fingerprint
-from .storage import CategoricalColumn, Database, NumericColumn
+from .storage import Database
 
 MODEL_FORMAT = "reltree-model"
 MODEL_VERSION = 1
@@ -236,6 +236,10 @@ class TreeModel:
     def n_nodes(self) -> int:
         return sum(1 for _ in self.iter_nodes())
 
+    @cached_property
+    def _router(self) -> "_Router":
+        return _compile(self)
+
 
 def _leaf(ldt: LocalDataTable) -> LeafNode:
     counts = np.bincount(ldt.labels, minlength=ldt.n_classes)
@@ -327,90 +331,155 @@ class Prediction:
         return self.probabilities[self.index]
 
 
-def _bag_rows(db: Database, row: int, path: JoinPath, cache: dict) -> np.ndarray:
-    if path in cache:
-        return cache[path]
-    if path.is_root:
-        bag = np.array([row], dtype=np.int64)
-    else:
-        parent = _bag_rows(db, row, path.prefix(len(path.hops) - 1), cache)
-        hop = path.hops[-1]
-        col = db.tables[hop.from_table].columns[hop.from_column]
-        index = db.indexes[(hop.to_table, hop.to_column)]
-        parts = [index.lookup(int(c)) for c in col.codes[parent]]
-        bag = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    cache[path] = bag
-    return bag
+def _leaf_prediction(model: TreeModel, leaf: LeafNode) -> Prediction:
+    total = sum(leaf.counts)
+    probs = tuple(c / total for c in leaf.counts)
+    return Prediction(label=model.class_labels[leaf.prediction], index=leaf.prediction, probabilities=probs)
 
 
-_NUMERIC_FIELD = {
-    Agg.AVG: "avg",
-    Agg.STD: "std",
-    Agg.VAR: "var",
-    Agg.MAX: "max",
-    Agg.MIN: "min",
-    Agg.SUM: "sum",
-    Agg.COUNT: "count",
-}
+@dataclass(frozen=True)
+class _Router:
+    """A model flattened for routing.
+
+    Inner node ``i`` is ``inner[i] = (slot, is_le, operand, undefined_left,
+    left, right)``.  Its test reads the cells of ``descriptors[slot]`` and
+    passes on ``cell <= operand`` (numeric) or ``cell == operand`` (boolean
+    and categorical, whose operand is True or the tested value).  A child
+    index ``~k`` (negative) is the leaf whose prediction is ``leaves[k]``.
+    ``paths`` holds every tested path and its prefixes, each after its
+    prefix: ``parents[p]`` is the index of path ``p`` minus its last hop
+    (-1 for the target table itself), and ``slot_paths[slot]`` the index of
+    the slot's path.
+    """
+
+    root: int
+    inner: tuple[tuple, ...]
+    leaves: tuple[Prediction, ...]
+    descriptors: tuple[FeatureDescriptor, ...]
+    slot_paths: tuple[int, ...]
+    paths: tuple[JoinPath, ...]
+    parents: tuple[int, ...]
 
 
-def _descriptor_value(db: Database, row: int, d: FeatureDescriptor, cache: dict):
-    """(value, defined) of one feature for one instance, computed on demand."""
-    bag = _bag_rows(db, row, d.path, cache)
-    if d.agg is Agg.IS_EMPTY:
-        return len(bag) == 0, True
-    col = db.tables[d.path.terminal_table].columns[d.attribute]
-    if isinstance(col, NumericColumn):
-        multiset = [None if col.missing[r] else float(col.values[r]) for r in bag]
-    else:
-        assert isinstance(col, CategoricalColumn)
-        multiset = [None if col.missing[r] else col.dictionary[col.codes[r]] for r in bag]
+def _compile(model: TreeModel) -> _Router:
+    slots: dict[FeatureDescriptor, int] = {}
+    path_index: dict[JoinPath, int] = {}
+    parents: list[int] = []
+    inner: list = []
+    leaves: list[Prediction] = []
 
-    if d.agg is Agg.IDENTITY:
-        if len(multiset) == 1 and multiset[0] is not None:
-            return multiset[0], True
-        return None, False
-    if d.agg in _NUMERIC_FIELD and isinstance(col, NumericColumn):
-        v = getattr(aggregate_numeric(multiset), _NUMERIC_FIELD[d.agg])
-        return v, v is not None
-    if d.agg is Agg.CONTAINS:
-        if not multiset:
-            return None, False
-        present = {v for v in multiset if v is not None}
-        if not present:
-            return None, False
-        return d.value in present, True
-    ca = aggregate_categorical(multiset, col.dictionary if isinstance(col, CategoricalColumn) else (), False)
-    if d.agg is Agg.COUNT:
-        return ca.count, ca.count is not None
-    if d.agg is Agg.DISTINCT_COUNT:
-        return ca.distinct_count, ca.distinct_count is not None
-    raise ValueError(f"cannot evaluate aggregator {d.agg!r}")
-
-
-def _passes(test: SplitTest, value) -> bool:
-    if test.kind == "numeric_le":
-        return float(value) <= test.threshold
-    if test.kind == "boolean_true":
-        return bool(value)
-    if test.kind == "categorical_eq":
-        return value == test.value
-    raise ValueError(f"unknown test kind {test.kind!r}")
-
-
-def _predict_one(model: TreeModel, db: Database, row: int) -> Prediction:
-    cache: dict = {}
-    node = model.root
-    while isinstance(node, InnerNode):
-        value, ok = _descriptor_value(db, row, node.test.descriptor, cache)
-        if not ok:
-            go_left = node.test.undefined_route == "pass"
+    def visit(node: TreeNode) -> int:
+        if isinstance(node, LeafNode):
+            leaves.append(_leaf_prediction(model, node))
+            return ~(len(leaves) - 1)
+        t = node.test
+        if t.kind == "numeric_le":
+            operand = t.threshold
+        elif t.kind == "boolean_true":
+            operand = True
+        elif t.kind == "categorical_eq":
+            operand = t.value
         else:
-            go_left = _passes(node.test, value)
-        node = node.left if go_left else node.right
-    total = sum(node.counts)
-    probs = tuple(c / total for c in node.counts)
-    return Prediction(label=model.class_labels[node.prediction], index=node.prediction, probabilities=probs)
+            raise ValueError(f"unknown test kind {t.kind!r}")
+        i = len(inner)
+        inner.append(None)
+        left = visit(node.left)
+        right = visit(node.right)
+        slot = slots.setdefault(t.descriptor, len(slots))
+        inner[i] = (slot, t.kind == "numeric_le", operand, t.undefined_route == "pass", left, right)
+        return i
+
+    root = visit(model.root)
+    for d in slots:
+        for k in range(len(d.path.hops) + 1):
+            prefix = d.path.prefix(k)
+            if prefix not in path_index:
+                path_index[prefix] = len(parents)
+                parents.append(path_index[d.path.prefix(k - 1)] if k else -1)
+    return _Router(
+        root=root,
+        inner=tuple(inner),
+        leaves=tuple(leaves),
+        descriptors=tuple(slots),
+        slot_paths=tuple(path_index[d.path] for d in slots),
+        paths=tuple(path_index),
+        parents=tuple(parents),
+    )
+
+
+def _cells(col: FeatureColumn) -> list:
+    """A column as a list of Python cells, None where undefined.
+
+    Categorical codes are decoded through the column's dictionary, which is
+    the predicting database's, so tests compare values, never codes.
+    """
+    if col.kind == CATEGORICAL:  # undefined codes are -1, which picks the trailing None
+        return np.asarray((*(col.dictionary or ()), None), dtype=object)[col.values].tolist()
+    cells = col.values.tolist()
+    for i in (~col.defined).nonzero()[0].tolist():
+        cells[i] = None
+    return cells
+
+
+class _Request:
+    """Per-request caches: each path joined once, each tested feature computed once.
+
+    A plain object rather than closures, so that a finished request holds no
+    reference cycle and is freed at once, not by the cyclic collector.
+    """
+
+    def __init__(self, router: _Router, db: Database, ids: np.ndarray) -> None:
+        self.router = router
+        self.db = db
+        self.ids = ids
+        self.instantiations: list[JoinInstantiation | None] = [None] * len(router.paths)
+        self.aggregates: dict[int, dict] = {}
+        self.columns: list[list | None] = [None] * len(router.descriptors)
+
+    def instantiation(self, p: int) -> JoinInstantiation:
+        inst = self.instantiations[p]
+        if inst is None:
+            router = self.router
+            parent = router.parents[p]
+            if parent < 0:
+                ids = self.ids
+                inst = JoinInstantiation(router.paths[p], ids, np.arange(len(ids) + 1, dtype=np.int64), ids)
+            else:  # the prefix cache: extend the parent path by its last hop
+                inst = join_hop(self.db, self.instantiation(parent), router.paths[p].hops[-1])
+            self.instantiations[p] = inst
+        return inst
+
+    def cells(self, slot: int) -> list:
+        p = self.router.slot_paths[slot]
+        col = feature_cells(
+            self.db, self.instantiation(p), self.router.descriptors[slot], self.aggregates.setdefault(p, {})
+        )
+        cells = self.columns[slot] = _cells(col)
+        return cells
+
+
+def _route(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
+    """Predictions for ascending, distinct, valid target-table row ids."""
+    router = model._router
+    request = _Request(router, db, ids)
+    columns = request.columns
+    inner, leaves, root = router.inner, router.leaves, router.root
+    out = []
+    for r in range(len(ids)):
+        i = root
+        while i >= 0:
+            slot, is_le, operand, undefined_left, left, right = inner[i]
+            cells = columns[slot]
+            if cells is None:
+                cells = request.cells(slot)
+            v = cells[r]
+            if v is None:
+                go_left = undefined_left
+            else:
+                go_left = v <= operand if is_le else v == operand
+            i = left if go_left else right
+        out.append(leaves[~i])
+    return out
 
 
 def check_compatible(model: TreeModel, db: Database) -> None:
@@ -418,15 +487,49 @@ def check_compatible(model: TreeModel, db: Database) -> None:
         raise ModelMismatchError("database schema does not match the model's schema fingerprint")
 
 
+def _outside(instance: int, n_rows: int) -> ValueError:
+    return ValueError(f"instance id {instance} is outside the target table's rows [0, {n_rows})")
+
+
 def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
-    """Route one target-table row through the tree, computing features on demand."""
+    """Route one target-table row through the tree; equals ``predict_many(model, db, [instance])[0]``.
+
+    The one id is checked in Python rather than through ``predict_many``'s
+    request arrays, whose numpy calls (``np.unique`` above all) cost more than
+    routing a row through a shallow tree.  Raises ``ValueError`` when the id
+    is not a row of the target table.
+    """
     check_compatible(model, db)
-    return _predict_one(model, db, int(instance))
+    i = int(instance)
+    n_rows = db.tables[db.catalog.target_table].n_rows
+    if not 0 <= i < n_rows:
+        raise _outside(i, n_rows)
+    return _route(model, db, np.array([i], dtype=np.int64))[0]
 
 
 def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
+    """Predictions for target-table row ids, in request order (duplicates kept).
+
+    The request is columnar: the distinct ids are joined along each path the
+    tree reaches once, and each tested feature is computed once, for all of
+    them, when the first row reaches a node that tests it, by the same code
+    that built the training columns.  Rows are then routed through the tree
+    over those cells.  Raises ``ValueError`` naming the first id that is not
+    a row of the target table.  Prediction adds nothing to ``db.stats``.
+    """
     check_compatible(model, db)
-    return [_predict_one(model, db, int(r)) for r in instances]
+    if not isinstance(instances, np.ndarray):
+        instances = list(instances)
+    ids = np.asarray(instances, dtype=np.int64).reshape(-1)
+    if ids.size == 0:
+        return []
+    n_rows = db.tables[db.catalog.target_table].n_rows
+    outside = (ids < 0) | (ids >= n_rows)
+    if outside.any():
+        raise _outside(int(ids[np.argmax(outside)]), n_rows)
+    unique, inverse = np.unique(ids, return_inverse=True)
+    out = _route(model, db, unique)
+    return [out[k] for k in inverse.tolist()]
 
 
 # ---------------------------------------------------------------------------

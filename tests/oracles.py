@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the engine.
 
-Everything here works on raw row dictionaries and plain Python loops:
-nested-loop joins, naive aggregation via the statistics module, recursive
-path enumeration, and a brute-force split evaluator.  None of it touches the
-package's columnar storage or its vectorized code paths.
+Everything here works on plain Python loops: nested-loop joins over raw row
+dictionaries, naive aggregation via the statistics module, scalar aggregates
+of one multiset, recursive path enumeration, a brute-force split evaluator,
+and a row-at-a-time router.  Only the router reads the package's loaded
+database, one cell at a time; none of it uses the vectorized code paths.
 """
 
 from __future__ import annotations
@@ -11,6 +12,12 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from dataclasses import dataclass
+
+import numpy as np
+
+from reltree.features import Agg
+from reltree.storage import CategoricalColumn, NumericColumn
 
 MISSING_TOKENS = ("", "?")
 
@@ -225,6 +232,78 @@ def naive_categorical(values, domain):
         got = set(present)
         out["contains"] = {v: (v in got) for v in domain}
     return out
+
+
+@dataclass(frozen=True)
+class NumericAggregates:
+    avg: float | None
+    std: float | None
+    var: float | None
+    max: float | None
+    min: float | None
+    sum: float | None
+    count: int | None
+
+
+@dataclass(frozen=True)
+class CategoricalAggregates:
+    count: int | None
+    distinct_count: int | None
+    contains: dict[str, bool | None] | None
+
+
+def aggregate_numeric(values) -> NumericAggregates:
+    """Numeric aggregate family over one multiset; None fields are undefined.
+
+    Sums run sequentially in multiset order, the order the engine's
+    bincount-based sums add in.
+    """
+    vals = list(values)
+    n = len(vals)
+    if n == 0:
+        return NumericAggregates(None, None, None, None, None, None, None)
+    present = [float(v) for v in vals if v is not None]
+    if not present:
+        return NumericAggregates(None, None, None, None, None, None, n)
+    k = len(present)
+    total = 0.0
+    for x in present:
+        total += x
+    avg = total / k
+    squares = 0.0
+    for x in present:
+        d = x - avg
+        squares += d * d
+    var = max(squares / k, 0.0)  # population variance
+    return NumericAggregates(
+        avg=avg,
+        std=math.sqrt(var),
+        var=var,
+        max=max(present),
+        min=min(present),
+        sum=total,
+        count=n,
+    )
+
+
+def aggregate_categorical(values, domain, emit_contains: bool) -> CategoricalAggregates:
+    """Categorical aggregate family over one multiset.
+
+    ``domain`` is the attribute's full base-table dictionary; contains cells
+    are produced for every domain value when ``emit_contains`` is set.
+    """
+    vals = list(values)
+    dom = list(domain)
+    n = len(vals)
+    if n == 0:
+        contains = {v: None for v in dom} if emit_contains else None
+        return CategoricalAggregates(None, None, contains)
+    present = {v for v in vals if v is not None}
+    if emit_contains:
+        contains = {v: (v in present) if present else None for v in dom}
+    else:
+        contains = None
+    return CategoricalAggregates(count=n, distinct_count=len(present), contains=contains)
 
 
 def base_domain(kept, table, column):
@@ -460,3 +539,96 @@ def random_micro_db(seed):
             rows.append(row)
         tables[name] = rows
     return doc, tables
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time prediction: each node rebuilds the row's bag with Python lists
+# and aggregates it with the scalar functions above.
+
+
+def _bag_rows(db, row, path, cache):
+    if path in cache:
+        return cache[path]
+    if path.is_root:
+        bag = [row]
+    else:
+        hop = path.hops[-1]
+        col = db.tables[hop.from_table].columns[hop.from_column]
+        index = db.indexes[(hop.to_table, hop.to_column)]
+        bag = []
+        for r in _bag_rows(db, row, path.prefix(len(path.hops) - 1), cache):
+            bag.extend(int(x) for x in index.lookup(int(col.codes[r])))
+    cache[path] = bag
+    return bag
+
+
+_SCALAR_FIELD = {
+    Agg.AVG: "avg",
+    Agg.STD: "std",
+    Agg.VAR: "var",
+    Agg.MAX: "max",
+    Agg.MIN: "min",
+    Agg.SUM: "sum",
+    Agg.COUNT: "count",
+}
+
+
+def _descriptor_value(db, row, d, cache):
+    """(value, defined) of one feature for one instance, computed on demand."""
+    bag = _bag_rows(db, row, d.path, cache)
+    if d.agg is Agg.IS_EMPTY:
+        return len(bag) == 0, True
+    col = db.tables[d.path.terminal_table].columns[d.attribute]
+    if isinstance(col, NumericColumn):
+        multiset = [None if col.missing[r] else float(col.values[r]) for r in bag]
+    else:
+        assert isinstance(col, CategoricalColumn)
+        multiset = [None if col.missing[r] else col.dictionary[col.codes[r]] for r in bag]
+
+    if d.agg is Agg.IDENTITY:
+        if len(multiset) == 1 and multiset[0] is not None:
+            return multiset[0], True
+        return None, False
+    if d.agg in _SCALAR_FIELD and isinstance(col, NumericColumn):
+        v = getattr(aggregate_numeric(multiset), _SCALAR_FIELD[d.agg])
+        return v, v is not None
+    if d.agg is Agg.CONTAINS:
+        present = {v for v in multiset if v is not None}
+        if not present:
+            return None, False
+        return d.value in present, True
+    ca = aggregate_categorical(multiset, col.dictionary, False)
+    if d.agg is Agg.COUNT:
+        return ca.count, ca.count is not None
+    if d.agg is Agg.DISTINCT_COUNT:
+        return ca.distinct_count, ca.distinct_count is not None
+    raise ValueError(f"cannot evaluate aggregator {d.agg!r}")
+
+
+def _passes(test, value) -> bool:
+    if test.kind == "numeric_le":
+        return float(value) <= test.threshold
+    if test.kind == "boolean_true":
+        return bool(value)
+    if test.kind == "categorical_eq":
+        return value == test.value
+    raise ValueError(f"unknown test kind {test.kind!r}")
+
+
+def naive_predict(model, db, rows):
+    """(class index, probabilities) of each row, routed one row at a time.
+
+    Categorical tests compare decoded values, so routing goes through the
+    predicting database's dictionary.
+    """
+    out = []
+    for row in np.asarray(list(rows), dtype=np.int64).tolist():
+        cache = {}
+        node = model.root
+        while hasattr(node, "test"):
+            value, ok = _descriptor_value(db, row, node.test.descriptor, cache)
+            go_left = _passes(node.test, value) if ok else node.test.undefined_route == "pass"
+            node = node.left if go_left else node.right
+        total = sum(node.counts)
+        out.append((node.prediction, tuple(c / total for c in node.counts)))
+    return out

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_numeric
+from oracles import aggregate_categorical, aggregate_numeric, naive_numeric, random_micro_db
 
 from reltree.features import (
     Agg,
     FeatureDescriptor,
-    aggregate_categorical,
-    aggregate_numeric,
     contains_enabled,
+    feature_cells,
     features_for_path,
     _numeric_columns,
 )
 from reltree.joinpath import (
     JoinPath,
+    ValueBags,
     candidate_extensions,
     empty_path,
     initial_paths,
@@ -111,11 +111,7 @@ def test_vectorized_numeric_matches_scalar(bags):
     values = np.array([0.0 if v is None else v for v in flat], dtype=np.float64)
     missing = np.array([v is None for v in flat], dtype=bool)
 
-    class Bags:
-        pass
-
-    vb = Bags()
-    vb.offsets, vb.values, vb.missing = offsets, values, missing
+    vb = ValueBags(offsets=offsets, kind="numeric", values=values, missing=missing)
     cols = {c.descriptor.agg: c for c in _numeric_columns(JoinPath(start="T"), "a", vb)}
     field = {
         Agg.AVG: "avg", Agg.STD: "std", Agg.VAR: "var", Agg.MAX: "max",
@@ -193,6 +189,22 @@ def test_identity_features_for_determinate_path(school_catalog, school_db):
     assert genre.dictionary[genre.values[1]] == "drama"
     assert not genre.defined[2]  # dangling movie reference -> empty bag
     assert genre.defined[3]
+
+
+def test_identity_features_through_a_reference_to_an_empty_table():
+    doc = {
+        "target": "P.y",
+        "tables": [
+            {"name": "P", "columns": [{"id": "pk"}, {"m": "fk(M.id)"}, {"y": "cat"}]},
+            {"name": "M", "columns": [{"id": "pk"}, {"g": "cat"}, {"x": "num"}]},
+        ],
+    }
+    rows = {"P": [{"id": "p1", "m": "m1", "y": "a"}, {"id": "p2", "m": "m2", "y": "b"}], "M": []}
+    catalog = catalog_from_dict(doc)
+    db = database_from_rows(catalog, rows)
+    cols = features_for_path(db, _instantiated(db, catalog, "P->M(m)"), LearnParams())
+    assert [c.descriptor.name for c in cols] == ["P->M(m).g:identity", "P->M(m).x:identity"]
+    assert not any(c.defined.any() for c in cols)
 
 
 def test_keys_only_terminal_yields_only_is_empty():
@@ -283,3 +295,24 @@ def test_is_empty_sorts_before_attribute_columns(school_catalog, school_db):
     assert cols[0].descriptor.agg == Agg.IS_EMPTY
     aggs = [c.descriptor.agg for c in cols[1:]]
     assert aggs == [Agg.AVG, Agg.STD, Agg.VAR, Agg.MAX, Agg.MIN, Agg.SUM, Agg.COUNT]
+
+
+def test_feature_cells_equal_training_columns_bit_for_bit():
+    """Prediction's single-descriptor cells are training's columns, exactly."""
+    for seed in range(40):
+        doc, tables = random_micro_db(seed)
+        catalog = catalog_from_dict(doc)
+        db = database_from_rows(catalog, tables)
+        cache = {empty_path(catalog): root_instantiation(db)}
+        queue = [empty_path(catalog)] + list(initial_paths(catalog))
+        while queue:
+            path = queue.pop()
+            inst = instantiate(db, path, cache)
+            aggregates = {}
+            for col in features_for_path(db, inst, LearnParams()):
+                got = feature_cells(db, inst, col.descriptor, aggregates)
+                assert got.kind == col.kind and got.dictionary == col.dictionary
+                assert np.array_equal(got.defined, col.defined)
+                assert got.values[col.defined].tobytes() == col.values[col.defined].tobytes()
+            if path.hops:
+                queue.extend(candidate_extensions(catalog, path))
