@@ -58,7 +58,7 @@ from .storage import (
     Database,
     DataError,
     LoadOptions,
-    database_from_rows,
+    build_database,
     load_database,
     rows_matching,
 )

@@ -47,7 +47,6 @@ def _add_learn_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-depth", type=_parse_max_depth, default=_DEFAULTS.max_depth, help="maximum tree depth ('inf' allowed)")
     parser.add_argument("--domsize-abs", type=int, default=_DEFAULTS.domsize_abs, help="absolute domain-size bound for contains features")
     parser.add_argument("--domsize-rel", type=float, default=_DEFAULTS.domsize_rel, help="relative domain-size bound for contains features")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
 def _params_from(args, strategy: str) -> LearnParams:
@@ -58,7 +57,6 @@ def _params_from(args, strategy: str) -> LearnParams:
         strategy=strategy,
         domsize_abs=args.domsize_abs,
         domsize_rel=args.domsize_rel,
-        seed=args.seed,
     )
 
 
@@ -112,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--mode", choices=list(MODES), default="lazy-restricted")
     _add_learn_params(p_cv)
     p_cv.add_argument("--k", type=int, default=10)
+    p_cv.add_argument("--seed", type=int, default=0, help="seed of the stratified fold assignment")
     p_cv.add_argument("--max-path-len", type=int, default=3, help="path bound for eager mode")
-    p_cv.add_argument("--jobs", type=int, default=1, help="parallel folds")
     p_cv.add_argument("--strip-target-features", action=argparse.BooleanOptionalAction, default=True,
                       help="drop non-key target-table columns other than the class")
     p_cv.add_argument("--out", help="output report file (JSON)")
@@ -189,9 +187,7 @@ def _cmd_propositionalize(args) -> int:
 def _cmd_cv(args) -> int:
     db = _load_db(args, strip_default=True)
     params = _params_from(args, "restricted" if args.mode != "lazy-unrestricted" else "unrestricted")
-    report = cross_validate(
-        db, params, k=args.k, seed=args.seed, mode=args.mode, max_path_len=args.max_path_len, jobs=args.jobs
-    )
+    report = cross_validate(db, params, k=args.k, seed=args.seed, mode=args.mode, max_path_len=args.max_path_len)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(report.summary())

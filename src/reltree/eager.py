@@ -114,7 +114,6 @@ def train_flat(db: Database, max_path_len: int | None, params: LearnParams, inst
         labels=flat.labels[labeled],
         n_classes=len(flat.class_labels),
         columns=[c.take(labeled) for c in flat.columns],
-        paths={c.descriptor.path: None for c in flat.columns if not c.descriptor.path.is_root},
         frontier=(),
         instantiations={},
     )

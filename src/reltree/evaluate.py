@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +20,9 @@ import numpy as np
 from .eager import enumerate_paths, train_flat
 from .features import Agg, FeatureDescriptor
 from .ldt import target_labels
-from .params import LearnParams, RESTRICTED, UNRESTRICTED
+from .params import LearnParams, RESTRICTED, UNRESTRICTED, params_doc
 from .schema import SchemaCatalog, catalog_from_dict
-from .storage import Database, database_from_rows
+from .storage import Database, build_database
 from .tree import TreeModel, grow_tree, predict_many
 
 MODES = ("lazy-restricted", "lazy-unrestricted", "eager")
@@ -104,20 +103,11 @@ class CvReport:
         return sorted(out)
 
     def to_dict(self) -> dict:
-        p = self.params
         return {
             "mode": self.mode,
             "k": self.k,
             "seed": self.seed,
-            "params": {
-                "min_ig": p.min_ig,
-                "min_inst": p.min_inst,
-                "max_depth": None if p.max_depth == float("inf") else p.max_depth,
-                "strategy": p.strategy,
-                "domsize_abs": p.domsize_abs,
-                "domsize_rel": p.domsize_rel,
-                "seed": p.seed,
-            },
+            "params": params_doc(self.params),
             "n_instances": self.n_instances,
             "mean_accuracy": self.mean_accuracy,
             "majority_accuracy": self.majority_accuracy,
@@ -143,24 +133,12 @@ class CvReport:
 
 def _train(db: Database, params: LearnParams, mode: str, max_path_len: int | None, train_ids: np.ndarray) -> TreeModel:
     if mode == "lazy-restricted":
-        return grow_tree(db, LearnParams(**{**_params_dict(params), "strategy": RESTRICTED}), train_ids)
+        return grow_tree(db, replace(params, strategy=RESTRICTED), train_ids)
     if mode == "lazy-unrestricted":
-        return grow_tree(db, LearnParams(**{**_params_dict(params), "strategy": UNRESTRICTED}), train_ids)
+        return grow_tree(db, replace(params, strategy=UNRESTRICTED), train_ids)
     if mode == "eager":
         return train_flat(db, max_path_len, params, train_ids)
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def _params_dict(p: LearnParams) -> dict:
-    return {
-        "min_ig": p.min_ig,
-        "min_inst": p.min_inst,
-        "max_depth": p.max_depth,
-        "strategy": p.strategy,
-        "domsize_abs": p.domsize_abs,
-        "domsize_rel": p.domsize_rel,
-        "seed": p.seed,
-    }
 
 
 def cross_validate(
@@ -170,19 +148,16 @@ def cross_validate(
     seed: int = 0,
     mode: str = "lazy-restricted",
     max_path_len: int | None = 3,
-    jobs: int = 1,
 ) -> CvReport:
     """k-fold cross-validation of one configuration, with instrumentation.
 
-    Join-lookup and feature counts cover training (feature construction and
-    tree growth) per fold; the majority baseline predicts each training
-    fold's most frequent class.
+    Folds run one after another.  Join-lookup and feature counts, and the
+    seconds, cover training (feature construction and tree growth) per fold;
+    the majority baseline predicts each training fold's most frequent class.
     """
     ids, labels, _ = target_labels(db)
-    folds = stratified_folds(labels, k, seed)
-
-    def run_fold(i: int) -> FoldResult:
-        test_pos = folds[i]
+    results: list[FoldResult] = []
+    for i, test_pos in enumerate(stratified_folds(labels, k, seed)):
         test_mask = np.zeros(len(ids), dtype=bool)
         test_mask[test_pos] = True
         train_ids = ids[~test_mask]
@@ -199,7 +174,7 @@ def cross_validate(
         accuracy = float(np.mean([p.index == y for p, y in zip(preds, test_labels)]))
         majority = int(np.argmax(np.bincount(train_labels)))
         majority_accuracy = float(np.mean(test_labels == majority))
-        return FoldResult(
+        results.append(FoldResult(
             fold=i,
             n_train=len(train_ids),
             n_test=len(test_ids),
@@ -209,13 +184,7 @@ def cross_validate(
             join_lookups=dict(m.lookups_by_depth),
             features_materialized=m.features,
             paths_materialized=sorted(m.paths),
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_fold, range(k)))
-    else:
-        results = [run_fold(i) for i in range(k)]
+        ))
     return CvReport(mode=mode, k=k, seed=seed, params=params, n_instances=len(ids), fold_results=results)
 
 
@@ -377,7 +346,7 @@ def generate_school_db(seed: int, spec: SchoolSpec | None = None) -> SchoolData:
         "Movie": movies,
     }
     catalog = catalog_from_dict(school_schema_doc(), source="<school>")
-    db = database_from_rows(catalog, tables)
+    db = build_database(catalog, tables)
 
     paths = {p.render(): p for p in enumerate_paths(catalog, None)}
     if spec.rule == RULE_AVG_GRADE:

@@ -210,16 +210,14 @@ def join_hop(db: Database, inst: JoinInstantiation, hop: Hop) -> JoinInstantiati
     )
 
 
-def extend_instantiation(db: Database, inst: JoinInstantiation, hop: Hop, restrict_to=None) -> JoinInstantiation:
+def extend_instantiation(db: Database, inst: JoinInstantiation, hop: Hop) -> JoinInstantiation:
     """Extend every bag by one hop, as feature construction does.
 
-    With ``restrict_to`` the extension covers only that instance subset.
     Each source terminal row costs one indexed lookup, which is recorded in
     ``db.stats`` under the extended path's length.
     """
-    base = inst if restrict_to is None else inst.restrict(restrict_to)
-    out = join_hop(db, base, hop)
-    db.stats.count_lookups(len(out.path.hops), len(base.rows))
+    out = join_hop(db, inst, hop)
+    db.stats.count_lookups(len(out.path.hops), len(inst.rows))
     return out
 
 

@@ -1,13 +1,13 @@
 """Per-tree-node local data tables and their extension machinery.
 
 An LDT carries the node's instance ids and labels, every feature column
-constructed on its root-to-node path, the registered feature-bearing join
-paths, and the cached instantiations (restricted views shared down the tree).
-Extending an LDT materializes features for candidate path extensions; which
-registered paths get extended depends on the strategy: all of them
-(unrestricted), or only paths whose features were used by an ancestor split
-(restricted).  Length-1 initial paths were introduced unconditionally at the
-root and stay eligible under either strategy.
+constructed on its root-to-node path, the frontier of feature-bearing join
+paths not yet extended, and the cached instantiations (restricted views
+shared down the tree).  Extending an LDT materializes features for candidate
+path extensions; which frontier paths get extended depends on the strategy:
+all of them (unrestricted), or only paths whose features were used by an
+ancestor split (restricted).  Length-1 initial paths were introduced
+unconditionally at the root and stay eligible under either strategy.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ class LocalDataTable:
     labels: np.ndarray
     n_classes: int
     columns: list[FeatureColumn]
-    paths: dict[JoinPath, None]  # registered feature-bearing paths, insertion-ordered
-    frontier: tuple[JoinPath, ...]  # registered paths not yet extended
+    frontier: tuple[JoinPath, ...]  # feature-bearing paths not yet extended
     instantiations: dict[JoinPath, JoinInstantiation]
 
     def __len__(self) -> int:
@@ -92,7 +91,6 @@ def build_root_ldt(db: Database, params: LearnParams, instance_ids=None) -> Loca
         labels=all_labels,
         n_classes=len(classes),
         columns=columns,
-        paths={p: None for p in initials},
         frontier=tuple(initials),
         instantiations=cache,
     )
@@ -117,13 +115,11 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
     selected_set = set(selected)
     cache = dict(ldt.instantiations)
     columns = list(ldt.columns)
-    paths = dict(ldt.paths)
     added: list[JoinPath] = []
     for path in selected:
         for ext in candidate_extensions(db.catalog, path):
             inst = instantiate(db, ext, cache)
             columns.extend(features_for_path(db, inst, params))
-            paths[ext] = None
             added.append(ext)
 
     frontier = tuple(p for p in ldt.frontier if p not in selected_set) + tuple(sorted(added, key=JoinPath.sort_key))
@@ -132,7 +128,6 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
         labels=ldt.labels,
         n_classes=ldt.n_classes,
         columns=columns,
-        paths=paths,
         frontier=frontier,
         instantiations=cache,
     )
@@ -177,7 +172,6 @@ def partition_ldt(ldt: LocalDataTable, test: "SplitTest") -> tuple[LocalDataTabl
             labels=ldt.labels[mask],
             n_classes=ldt.n_classes,
             columns=[c.take(mask) for c in ldt.columns],
-            paths=dict(ldt.paths),
             frontier=ldt.frontier,
             instantiations={p: inst.restrict(ids) for p, inst in ldt.instantiations.items()},
         )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 RESTRICTED = "restricted"
 UNRESTRICTED = "unrestricted"
@@ -25,7 +25,6 @@ class LearnParams:
     strategy: str = RESTRICTED
     domsize_abs: int = 40
     domsize_rel: float = 0.2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.min_inst < 1:
@@ -36,3 +35,11 @@ class LearnParams:
             raise ValueError("max_depth must be >= 0")
         if self.strategy not in (RESTRICTED, UNRESTRICTED):
             raise ValueError(f"unknown strategy: {self.strategy!r}")
+
+
+def params_doc(p: LearnParams) -> dict:
+    """The params as a JSON-ready dict; unbounded ``max_depth`` becomes ``None``."""
+    doc = asdict(p)
+    if math.isinf(p.max_depth):
+        doc["max_depth"] = None
+    return doc

@@ -10,7 +10,6 @@ rejected at load.  Foreign-key values that match no primary key are kept
 from __future__ import annotations
 
 import csv
-import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -94,10 +93,6 @@ class KeyIndex:
             return self.rows[:0]
         return self.rows[self.starts[code]:self.starts[code + 1]]
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.starts)
-
 
 class Measurement:
     """Counter deltas collected while a :meth:`JoinStats.measure` scope is open."""
@@ -123,53 +118,37 @@ class JoinStats:
 
     Counts cover feature construction (instantiation joins and materialized
     feature columns), not model application.  Scopes opened with
-    :meth:`measure` are thread-local, so concurrent workers each see only
-    their own work; the lifetime totals are shared and lock-protected.
+    :meth:`measure` nest: each open scope sees all the work done while it is
+    open, its inner scopes' included, next to the lifetime totals.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._local = threading.local()
         self.lifetime = Measurement()
-
-    def _frames(self) -> list[Measurement]:
-        frames = getattr(self._local, "frames", None)
-        if frames is None:
-            frames = []
-            self._local.frames = frames
-        return frames
+        self._frames: list[Measurement] = []
 
     def count_lookups(self, path_length: int, n: int) -> None:
         if n <= 0:
             return
-        with self._lock:
-            self.lifetime.lookups_by_depth[path_length] += n
-        for frame in self._frames():
-            frame.lookups_by_depth[path_length] += n
+        for m in (self.lifetime, *self._frames):
+            m.lookups_by_depth[path_length] += n
 
     def count_features(self, path_render: str | None, names: list[str]) -> None:
         if not names:
             return
-        with self._lock:
-            self.lifetime.features += len(names)
-            self.lifetime.descriptors.update(names)
+        for m in (self.lifetime, *self._frames):
+            m.features += len(names)
+            m.descriptors.update(names)
             if path_render is not None:
-                self.lifetime.paths.add(path_render)
-        for frame in self._frames():
-            frame.features += len(names)
-            frame.descriptors.update(names)
-            if path_render is not None:
-                frame.paths.add(path_render)
+                m.paths.add(path_render)
 
     @contextmanager
     def measure(self):
         frame = Measurement()
-        frames = self._frames()
-        frames.append(frame)
+        self._frames.append(frame)
         try:
             yield frame
         finally:
-            frames.pop()
+            self._frames.pop()
 
 
 @dataclass(eq=False)
@@ -195,17 +174,10 @@ class Database:
     stats: JoinStats = field(default_factory=JoinStats)
 
     def key_code(self, table: str, column: str, value: str) -> int | None:
-        dom = self._domain_for(table, column)
-        return dom.code_of.get(str(value))
-
-    def key_value(self, table: str, column: str, code: int) -> str:
-        return self._domain_for(table, column).values[code]
-
-    def _domain_for(self, table: str, column: str) -> KeyDomain:
         col = self.tables[table].columns.get(column)
         if not isinstance(col, KeyColumn):
             raise DataError(f"{table}.{column} is not a key column")
-        return col.domain
+        return col.domain.code_of.get(str(value))
 
     def primary_key_values(self, table: str) -> list[str]:
         ts = self.catalog.table(table)
@@ -375,11 +347,6 @@ def build_database(catalog: SchemaCatalog, raw_rows: dict[str, list[dict]], opti
         dangling=dangling,
         rejected_rows=rejected,
     )
-
-
-def database_from_rows(catalog: SchemaCatalog, rows_by_table: dict[str, list[dict]], options: LoadOptions | None = None) -> Database:
-    """In-memory loading entry point (used by generators and tests)."""
-    return build_database(catalog, rows_by_table, options)
 
 
 def load_database(catalog: SchemaCatalog, data_dir, options: LoadOptions | None = None) -> Database:

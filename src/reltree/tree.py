@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -32,12 +32,14 @@ from .features import (
 )
 from .joinpath import Hop, JoinInstantiation, JoinPath, join_hop
 from .ldt import LocalDataTable, build_root_ldt, extend_ldt, partition_ldt
-from .params import LearnParams
+from .params import LearnParams, params_doc
 from .schema import fingerprint
 from .storage import Database
 
 MODEL_FORMAT = "reltree-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+# Version 1 documents also carried ``params.seed``, which the learner never read.
+_READABLE_VERSIONS = (1, MODEL_VERSION)
 
 
 class ModelFormatError(ValueError):
@@ -246,6 +248,10 @@ def _leaf(ldt: LocalDataTable) -> LeafNode:
     return LeafNode(counts=tuple(int(c) for c in counts), prediction=int(np.argmax(counts)))
 
 
+def _clears(found: tuple[SplitTest, float] | None, params: LearnParams) -> bool:
+    return found is not None and found[1] > params.min_ig
+
+
 def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, used: frozenset, extendable: bool) -> TreeNode:
     if depth >= params.max_depth or len(ldt) < params.min_inst:
         return _leaf(ldt)
@@ -254,33 +260,22 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, us
     if entropy(np.bincount(ldt.labels, minlength=ldt.n_classes)) <= params.min_ig:
         return _leaf(ldt)
     found = best_split(ldt, params)
-    if found is not None and found[1] > params.min_ig:
-        test, ig = found
-        left, right = partition_ldt(ldt, test)
-        used2 = used | {test.descriptor.path}
-        return InnerNode(
-            test=test,
-            ig=ig,
-            left=_grow(db, left, params, depth + 1, used2, extendable),
-            right=_grow(db, right, params, depth + 1, used2, extendable),
-        )
-    if not extendable:
+    if extendable and not _clears(found, params):
+        extended = extend_ldt(db, ldt, params, used)
+        if extended is not None:
+            ldt = extended
+            found = best_split(ldt, params)
+    if not _clears(found, params):
         return _leaf(ldt)
-    extended = extend_ldt(db, ldt, params, used)
-    if extended is None:
-        return _leaf(ldt)
-    found = best_split(extended, params)
-    if found is not None and found[1] > params.min_ig:
-        test, ig = found
-        left, right = partition_ldt(extended, test)
-        used2 = used | {test.descriptor.path}
-        return InnerNode(
-            test=test,
-            ig=ig,
-            left=_grow(db, left, params, depth + 1, used2, extendable),
-            right=_grow(db, right, params, depth + 1, used2, extendable),
-        )
-    return _leaf(extended)
+    test, ig = found
+    left, right = partition_ldt(ldt, test)
+    used2 = used | {test.descriptor.path}
+    return InnerNode(
+        test=test,
+        ig=ig,
+        left=_grow(db, left, params, depth + 1, used2, extendable),
+        right=_grow(db, right, params, depth + 1, used2, extendable),
+    )
 
 
 def _collect_descriptors(root: TreeNode) -> tuple[FeatureDescriptor, ...]:
@@ -615,7 +610,6 @@ def _node_from_doc(doc: dict, descriptors: tuple[FeatureDescriptor, ...]) -> Tre
 
 def serialize_model(model: TreeModel) -> str:
     """Stable JSON rendering: equal models serialize byte-identically."""
-    p = model.params
     desc_index = {d: i for i, d in enumerate(model.descriptors)}
     doc = {
         "format": MODEL_FORMAT,
@@ -623,15 +617,7 @@ def serialize_model(model: TreeModel) -> str:
         "mode": model.mode,
         "schema_fingerprint": model.schema_fingerprint,
         "class_labels": list(model.class_labels),
-        "params": {
-            "min_ig": p.min_ig,
-            "min_inst": p.min_inst,
-            "max_depth": None if math.isinf(p.max_depth) else p.max_depth,
-            "strategy": p.strategy,
-            "domsize_abs": p.domsize_abs,
-            "domsize_rel": p.domsize_rel,
-            "seed": p.seed,
-        },
+        "params": params_doc(model.params),
         "descriptors": [
             {
                 "name": d.name,
@@ -654,19 +640,12 @@ def deserialize_model(document: str) -> TreeModel:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a model document")
-    if doc.get("version") != MODEL_VERSION:
+    if doc.get("version") not in _READABLE_VERSIONS:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
-        pd = doc["params"]
-        params = LearnParams(
-            min_ig=pd["min_ig"],
-            min_inst=pd["min_inst"],
-            max_depth=math.inf if pd["max_depth"] is None else float(pd["max_depth"]),
-            strategy=pd["strategy"],
-            domsize_abs=pd["domsize_abs"],
-            domsize_rel=pd["domsize_rel"],
-            seed=pd["seed"],
-        )
+        pd = {f.name: doc["params"][f.name] for f in fields(LearnParams)}
+        pd["max_depth"] = math.inf if pd["max_depth"] is None else float(pd["max_depth"])
+        params = LearnParams(**pd)
         descriptors = tuple(
             FeatureDescriptor(
                 path=_path_from_doc(d["path"]),

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from reltree.schema import catalog_from_dict
-from reltree.storage import database_from_rows
+from reltree.storage import build_database
 
 # Hand-built five-table school database.  Lupin teaches two courses whose
 # enrollments reach students with grades {8, 10, 12}; Snape's single course
@@ -81,7 +81,7 @@ def school_catalog():
 
 @pytest.fixture
 def school_db(school_catalog):
-    return database_from_rows(school_catalog, school_rows())
+    return build_database(school_catalog, school_rows())
 
 
 def write_school_files(directory):

@@ -19,7 +19,7 @@ from reltree.eager import enumerate_paths, propositionalize, train_flat
 from reltree.evaluate import SchoolSpec, cross_validate, generate_school_db
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
-from reltree.storage import database_from_rows
+from reltree.storage import build_database
 from reltree.tree import InnerNode, best_split, grow_tree, predict_many, serialize_model
 
 PARAMS = LearnParams()  # spec defaults: MinIG=0.001, MinInst=3, MaxDepth=inf, DomSize 40/0.2
@@ -54,7 +54,7 @@ def test_criterion_1_feature_oracle_equivalence():
     for seed in range(50):
         doc, tables = random_micro_db(seed)
         catalog = catalog_from_dict(doc)
-        db = database_from_rows(catalog, tables)
+        db = build_database(catalog, tables)
         got = _production_cells(propositionalize(db, 3, PARAMS))
         expected = flat_cells(doc, tables, 3)
         assert set(got) == set(expected), f"seed {seed}: column sets differ"

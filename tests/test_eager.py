@@ -16,7 +16,7 @@ from reltree.evaluate import SchoolSpec, generate_school_db
 from reltree.ldt import build_root_ldt
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
-from reltree.storage import database_from_rows
+from reltree.storage import build_database
 from reltree.tree import InnerNode, grow_tree
 
 PARAMS = LearnParams()
@@ -55,7 +55,7 @@ def test_flat_cells_match_bruteforce_oracle():
         cases.append(random_micro_db(seed))
     for doc, rows in cases:
         catalog = catalog_from_dict(doc)
-        db = database_from_rows(catalog, rows)
+        db = build_database(catalog, rows)
         flat = propositionalize(db, 3, PARAMS)
         expected = flat_cells(doc, rows, 3)
         got = {}

@@ -26,7 +26,7 @@ from reltree.joinpath import (
 )
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
-from reltree.storage import database_from_rows
+from reltree.storage import build_database
 
 
 def test_aggregate_numeric_basic():
@@ -201,7 +201,7 @@ def test_identity_features_through_a_reference_to_an_empty_table():
     }
     rows = {"P": [{"id": "p1", "m": "m1", "y": "a"}, {"id": "p2", "m": "m2", "y": "b"}], "M": []}
     catalog = catalog_from_dict(doc)
-    db = database_from_rows(catalog, rows)
+    db = build_database(catalog, rows)
     cols = features_for_path(db, _instantiated(db, catalog, "P->M(m)"), LearnParams())
     assert [c.descriptor.name for c in cols] == ["P->M(m).g:identity", "P->M(m).x:identity"]
     assert not any(c.defined.any() for c in cols)
@@ -217,7 +217,7 @@ def test_keys_only_terminal_yields_only_is_empty():
     }
     rows = {"P": [{"id": "p1", "y": "a"}], "C": [{"id": "c1", "p": "p1"}]}
     catalog = catalog_from_dict(doc)
-    db = database_from_rows(catalog, rows)
+    db = build_database(catalog, rows)
     inst = _instantiated(db, catalog, "P->C(p)")
     cols = features_for_path(db, inst, LearnParams())
     assert [c.descriptor.name for c in cols] == ["P->C(p).:is_empty"]
@@ -259,7 +259,7 @@ def test_contains_features_generated_from_base_dictionary():
         ],
     }
     catalog = catalog_from_dict(doc)
-    db = database_from_rows(catalog, rows)
+    db = build_database(catalog, rows)
     inst = _instantiated(db, catalog, "P->C(p)")
     cols = features_for_path(db, inst, LearnParams())
     contains = [c for c in cols if c.descriptor.agg == Agg.CONTAINS]
@@ -302,7 +302,7 @@ def test_feature_cells_equal_training_columns_bit_for_bit():
     for seed in range(40):
         doc, tables = random_micro_db(seed)
         catalog = catalog_from_dict(doc)
-        db = database_from_rows(catalog, tables)
+        db = build_database(catalog, tables)
         cache = {empty_path(catalog): root_instantiation(db)}
         queue = [empty_path(catalog)] + list(initial_paths(catalog))
         while queue:

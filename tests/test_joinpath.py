@@ -3,6 +3,7 @@ import pytest
 
 from oracles import dfs_paths, path_bags, kept_rows, random_micro_db, render_path
 
+from reltree.features import features_for_path
 from reltree.joinpath import (
     candidate_extensions,
     empty_path,
@@ -12,8 +13,9 @@ from reltree.joinpath import (
     project_values,
     root_instantiation,
 )
+from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
-from reltree.storage import database_from_rows
+from reltree.storage import build_database
 
 
 def _path_by_render(paths, render):
@@ -112,7 +114,7 @@ def test_extension_multiplicity_is_bag_semantics():
         "E": [{"id": f"e{c}{j}", "c": f"c{c}", "v": "1"} for c in range(2) for j in range(3)],
     }
     catalog = catalog_from_dict(doc)
-    db = database_from_rows(catalog, rows)
+    db = build_database(catalog, rows)
     path = initial_paths(catalog)[0]
     target = candidate_extensions(catalog, path)[0]
     cache = {empty_path(catalog): root_instantiation(db)}
@@ -169,7 +171,7 @@ def test_instantiations_match_nested_loop_oracle():
     for seed in range(12):
         doc, tables = random_micro_db(seed)
         catalog = catalog_from_dict(doc)
-        db = database_from_rows(catalog, tables)
+        db = build_database(catalog, tables)
         kept = kept_rows(doc, tables)
         oracle_paths = {render_path(doc["target"].split(".")[0], h): h for h in dfs_paths(doc, 3)}
         cache = {empty_path(catalog): root_instantiation(db)}
@@ -192,7 +194,7 @@ def test_cache_soundness_restrict_commutes(school_catalog, school_db):
     hop = course.hops[0]
     root = root_instantiation(school_db)
     subset = np.array([0, 2], dtype=np.int64)
-    a = extend_instantiation(school_db, root, hop, restrict_to=subset)
+    a = extend_instantiation(school_db, root.restrict(subset), hop)
     b = extend_instantiation(school_db, root, hop).restrict(subset)
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.rows, b.rows)
@@ -215,3 +217,20 @@ def test_lookup_counter_monotone_and_depth_tagged(school_catalog, school_db):
     assert m.lookups_by_depth[2] == 3  # one per course row reached
     assert m.lookups_by_depth[3] == 5  # one per enrollment row reached
     assert m.total_lookups == 12
+
+
+def test_nested_measure_scopes(school_catalog, school_db):
+    course = _path_by_render(initial_paths(school_catalog), "Professor->Course(PID)")
+    full = candidate_extensions(school_catalog, course)[0]
+    lifetime_before = school_db.stats.lifetime.total_lookups
+    with school_db.stats.measure() as outer:
+        cache = {empty_path(school_catalog): root_instantiation(school_db)}
+        instantiate(school_db, course, cache)  # outer only: 4 lookups at depth 1
+        with school_db.stats.measure() as inner:
+            inst = instantiate(school_db, full, cache)  # both: 3 at depth 2, 5 at depth 3
+            n_features = len(features_for_path(school_db, inst, LearnParams()))
+    assert dict(inner.lookups_by_depth) == {2: 3, 3: 5}
+    assert dict(outer.lookups_by_depth) == {1: 4, 2: 3, 3: 5}
+    assert inner.features == outer.features == n_features > 0
+    assert inner.paths == outer.paths == {full.render()}
+    assert school_db.stats.lifetime.total_lookups - lifetime_before == 12

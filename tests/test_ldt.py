@@ -12,7 +12,7 @@ from reltree.ldt import (
 )
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
-from reltree.storage import DataError, database_from_rows
+from reltree.storage import DataError, build_database
 from reltree.tree import SplitTest
 
 RESTRICTED = LearnParams(strategy="restricted")
@@ -34,14 +34,14 @@ def test_build_root_ldt_school(school_db):
 
 def test_root_ldt_requires_labeled_rows():
     doc = {"target": "T.y", "tables": [{"name": "T", "columns": [{"id": "pk"}, {"y": "cat"}]}]}
-    db = database_from_rows(catalog_from_dict(doc), {"T": [{"id": "1", "y": ""}]})
+    db = build_database(catalog_from_dict(doc), {"T": [{"id": "1", "y": ""}]})
     with pytest.raises(DataError, match="labeled"):
         build_root_ldt(db, RESTRICTED)
 
 
 def test_root_ldt_with_no_paths_and_no_attributes_has_no_columns():
     doc = {"target": "T.y", "tables": [{"name": "T", "columns": [{"id": "pk"}, {"y": "cat"}]}]}
-    db = database_from_rows(catalog_from_dict(doc), {"T": [{"id": "1", "y": "a"}, {"id": "2", "y": "b"}]})
+    db = build_database(catalog_from_dict(doc), {"T": [{"id": "1", "y": "a"}, {"id": "2", "y": "b"}]})
     ldt = build_root_ldt(db, RESTRICTED)
     assert ldt.columns == []
     assert ldt.frontier == ()
@@ -125,7 +125,6 @@ def _tiny_ldt(cells, labels, kind="boolean", dictionary=None):
         labels=np.array(labels, dtype=np.int64),
         n_classes=int(max(labels)) + 1,
         columns=[col],
-        paths={},
         frontier=(),
         instantiations={},
     )

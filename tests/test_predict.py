@@ -16,7 +16,7 @@ from reltree.evaluate import SchoolSpec, generate_school_db
 from reltree.features import Agg
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
-from reltree.storage import DataError, database_from_rows
+from reltree.storage import DataError, build_database
 from reltree.tree import grow_tree, predict, predict_many
 
 
@@ -32,7 +32,7 @@ def _pairs(preds):
 )
 def test_predict_many_matches_naive_router(seed, strategy, data):
     doc, tables = random_micro_db(seed)
-    db = database_from_rows(catalog_from_dict(doc), tables)
+    db = build_database(catalog_from_dict(doc), tables)
     try:
         model = grow_tree(db, LearnParams(min_inst=1, strategy=strategy))
     except DataError:
@@ -64,7 +64,7 @@ def test_categorical_tests_route_by_value_not_code():
     # order of genres, so the trained value code means another genre there.
     tables = dict(data.tables)
     tables["Movie"] = list(reversed(data.tables["Movie"]))
-    other = database_from_rows(data.catalog, tables)
+    other = build_database(data.catalog, tables)
     genre = other.tables["Movie"].columns["genre"]
     assert genre.dictionary != data.db.tables["Movie"].columns["genre"].dictionary
     assert genre.dictionary.index(root.value) != root.value_code
@@ -98,12 +98,12 @@ def test_contains_tests_stay_linear_in_a_larger_dictionary():
         customers.append({"CID": f"c{c}", "churn": "yes" if "a" in items else "no"})
         for item in items:
             orders.append({"OID": f"o{len(orders)}", "CID": f"c{c}", "item": item})
-    model = grow_tree(database_from_rows(catalog, {"Customer": customers, "Orders": orders}), LearnParams())
+    model = grow_tree(build_database(catalog, {"Customer": customers, "Orders": orders}), LearnParams())
     assert any(d.agg is Agg.CONTAINS for d in model.descriptors)
 
     k = 40_000
     extra = [{"OID": f"x{j}", "CID": f"c{j % n}", "item": f"new{j}"} for j in range(k)]
-    big = database_from_rows(catalog, {"Customer": customers, "Orders": orders + extra})
+    big = build_database(catalog, {"Customer": customers, "Orders": orders + extra})
     tracemalloc.start()
     try:
         got = predict_many(model, big, range(n))

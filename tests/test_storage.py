@@ -9,7 +9,7 @@ from reltree.schema import catalog_from_dict, load_schema
 from reltree.storage import (
     DataError,
     LoadOptions,
-    database_from_rows,
+    build_database,
     load_database,
     rows_matching,
 )
@@ -53,9 +53,9 @@ def test_strip_target_features():
     }
     rows = {"A": [{"id": "1", "extra": "9", "y": "a"}, {"id": "2", "extra": "8", "y": "b"}]}
     catalog = catalog_from_dict(doc)
-    stripped = database_from_rows(catalog, rows, LoadOptions(strip_target_features=True))
+    stripped = build_database(catalog, rows, LoadOptions(strip_target_features=True))
     assert "extra" not in stripped.tables["A"].columns
-    plain = database_from_rows(catalog, rows)
+    plain = build_database(catalog, rows)
     assert "extra" in plain.tables["A"].columns
 
 
@@ -76,7 +76,7 @@ def test_rows_matching_equals_linear_scan_on_random_dbs():
     for seed in range(25):
         doc, tables = random_micro_db(seed)
         catalog = catalog_from_dict(doc)
-        db = database_from_rows(catalog, tables)
+        db = build_database(catalog, tables)
         for (table, column), index in db.indexes.items():
             codes = db.tables[table].columns[column].codes
             domain = db.tables[table].columns[column].domain
@@ -117,7 +117,7 @@ def test_missing_key_rejects_row():
     doc = school_doc()
     rows = school_rows()
     rows["Enrolled"].append({"EID": "e6", "CID": "", "SID": "s1"})
-    db = database_from_rows(catalog_from_dict(doc), rows)
+    db = build_database(catalog_from_dict(doc), rows)
     assert db.tables["Enrolled"].n_rows == 5
     assert db.rejected_rows["Enrolled"] == 1
 
@@ -126,14 +126,14 @@ def test_duplicate_primary_key_rejected():
     rows = school_rows()
     rows["Student"].append({"SID": "s1", "grade": "5"})
     with pytest.raises(DataError, match="duplicate primary key"):
-        database_from_rows(catalog_from_dict(school_doc()), rows)
+        build_database(catalog_from_dict(school_doc()), rows)
 
 
 def test_bad_numeric_token_reports_location():
     rows = school_rows()
     rows["Student"][2]["grade"] = "twelve"
     with pytest.raises(DataError, match=r"Student column grade row 3.*twelve"):
-        database_from_rows(catalog_from_dict(school_doc()), rows)
+        build_database(catalog_from_dict(school_doc()), rows)
 
 
 def test_header_mismatch(school_dir):
@@ -153,7 +153,7 @@ def test_missing_file(school_dir):
 def test_configurable_missing_tokens():
     doc = {"target": "A.y", "tables": [{"name": "A", "columns": [{"id": "pk"}, {"v": "num"}, {"y": "cat"}]}]}
     rows = {"A": [{"id": "1", "v": "NA", "y": "a"}, {"id": "2", "v": "3", "y": "b"}]}
-    db = database_from_rows(catalog_from_dict(doc), rows, LoadOptions(missing_tokens=("NA",)))
+    db = build_database(catalog_from_dict(doc), rows, LoadOptions(missing_tokens=("NA",)))
     col = db.tables["A"].columns["v"]
     assert bool(col.missing[0]) and not bool(col.missing[1])
 
@@ -171,7 +171,7 @@ def test_key_index_matches_scan_property(codes):
         "A": [{"id": f"k{i}", "y": "x"} for i in range(6)],
         "B": [{"id": f"b{i}", "a": f"k{c}"} for i, c in enumerate(codes)],
     }
-    db = database_from_rows(catalog_from_dict(doc), rows)
+    db = build_database(catalog_from_dict(doc), rows)
     col = db.tables["B"].columns["a"].codes
     for code in range(8):
         assert np.array_equal(rows_matching(db, "B", "a", code), np.nonzero(col == code)[0])

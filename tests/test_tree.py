@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from reltree.joinpath import JoinPath
 from reltree.ldt import LocalDataTable
 from reltree.params import LearnParams
 from reltree.tree import (
+    MODEL_VERSION,
     InnerNode,
     LeafNode,
     ModelFormatError,
@@ -60,7 +62,6 @@ def _ldt_from_columns(specs, labels):
         labels=np.array(labels, dtype=np.int64),
         n_classes=int(max(labels)) + 1,
         columns=columns,
-        paths={},
         frontier=(),
         instantiations={},
     )
@@ -151,11 +152,11 @@ def test_best_split_matches_exhaustive_oracle():
 
 def test_grow_tree_degenerates_to_majority_leaf_without_features():
     from reltree.schema import catalog_from_dict
-    from reltree.storage import database_from_rows
+    from reltree.storage import build_database
 
     doc = {"target": "T.y", "tables": [{"name": "T", "columns": [{"id": "pk"}, {"y": "cat"}]}]}
     rows = {"T": [{"id": str(i), "y": "a" if i < 4 else "b"} for i in range(6)]}
-    db = database_from_rows(catalog_from_dict(doc), rows)
+    db = build_database(catalog_from_dict(doc), rows)
     model = grow_tree(db, PARAMS)
     assert isinstance(model.root, LeafNode)
     assert model.root.counts == (4, 2)
@@ -259,9 +260,31 @@ def test_deserialize_rejects_bad_documents():
     with pytest.raises(ModelFormatError):
         deserialize_model(doc[: len(doc) // 2])
     with pytest.raises(ModelFormatError):
-        deserialize_model(doc.replace('"version": 1', '"version": 99'))
+        deserialize_model(doc.replace(f'"version": {MODEL_VERSION}', '"version": 99'))
     with pytest.raises(ModelFormatError):
         deserialize_model("{}")
+
+
+def test_deserialize_reads_version_1_documents():
+    data = generate_school_db(29, SchoolSpec(n_professors=80, rule="avg_grade", label_noise=0.05))
+    doc = serialize_model(grow_tree(data.db, PARAMS))
+    old = json.loads(doc)
+    assert old["version"] == MODEL_VERSION == 2 and "seed" not in old["params"]
+    old["version"] = 1
+    old["params"]["seed"] = 0
+    v1 = deserialize_model(json.dumps(old))
+    v2 = deserialize_model(doc)
+    assert serialize_model(v1) == doc
+    assert v1.params == v2.params
+    assert predict_many(v1, data.db, range(80)) == predict_many(v2, data.db, range(80))
+
+
+def test_deserialize_rejects_params_missing_a_field():
+    data = generate_school_db(31, SchoolSpec(n_professors=40))
+    doc = json.loads(serialize_model(grow_tree(data.db, PARAMS)))
+    del doc["params"]["min_ig"]
+    with pytest.raises(ModelFormatError, match="min_ig"):
+        deserialize_model(json.dumps(doc))
 
 
 def test_gain_bounds_on_random_ldts():
