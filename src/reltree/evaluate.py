@@ -23,7 +23,7 @@ from .ldt import target_labels
 from .params import LearnParams, RESTRICTED, UNRESTRICTED, params_doc
 from .schema import SchemaCatalog, catalog_from_dict
 from .storage import Database, build_database
-from .tree import TreeModel, grow_tree, predict_many
+from .tree import grow_tree, predict_many
 
 MODES = ("lazy-restricted", "lazy-unrestricted", "eager")
 
@@ -131,13 +131,14 @@ class CvReport:
         )
 
 
-def _train(db: Database, params: LearnParams, mode: str, max_path_len: int | None, train_ids: np.ndarray) -> TreeModel:
+def _mode_params(params: LearnParams, mode: str) -> LearnParams:
+    """The params a fold of ``mode`` trains with: the lazy modes fix the strategy."""
     if mode == "lazy-restricted":
-        return grow_tree(db, replace(params, strategy=RESTRICTED), train_ids)
+        return replace(params, strategy=RESTRICTED)
     if mode == "lazy-unrestricted":
-        return grow_tree(db, replace(params, strategy=UNRESTRICTED), train_ids)
+        return replace(params, strategy=UNRESTRICTED)
     if mode == "eager":
-        return train_flat(db, max_path_len, params, train_ids)
+        return params
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
@@ -154,7 +155,10 @@ def cross_validate(
     Folds run one after another.  Join-lookup and feature counts, and the
     seconds, cover training (feature construction and tree growth) per fold;
     the majority baseline predicts each training fold's most frequent class.
+    The report holds the params the folds trained with: the lazy modes set
+    the strategy their name gives.
     """
+    params = _mode_params(params, mode)
     ids, labels, _ = target_labels(db)
     results: list[FoldResult] = []
     for i, test_pos in enumerate(stratified_folds(labels, k, seed)):
@@ -167,7 +171,10 @@ def cross_validate(
 
         with db.stats.measure() as m:
             t0 = time.perf_counter()
-            model = _train(db, params, mode, max_path_len, train_ids)
+            if mode == "eager":
+                model = train_flat(db, max_path_len, params, train_ids)
+            else:
+                model = grow_tree(db, params, train_ids)
             seconds = time.perf_counter() - t0
 
         preds = predict_many(model, db, test_ids)

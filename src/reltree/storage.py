@@ -10,9 +10,12 @@ rejected at load.  Foreign-key values that match no primary key are kept
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from .schema import (
     KIND_NUMERIC,
     KIND_PRIMARY_KEY,
     SchemaCatalog,
+    TableSchema,
 )
 
 DEFAULT_MISSING_TOKENS = ("", "?")
@@ -203,81 +207,83 @@ def rows_matching(db: Database, table: str, column: str, key) -> np.ndarray:
     return index.lookup(int(key))
 
 
-def _is_missing(value, tokens: tuple[str, ...]) -> bool:
-    if value is None:
-        return True
-    return isinstance(value, str) and value in tokens
+def build_database(
+    catalog: SchemaCatalog,
+    raw_tables: dict[str, list[dict] | dict[str, Sequence]],
+    options: LoadOptions | None = None,
+) -> Database:
+    """Build a :class:`Database` from each table's rows or columns.
 
-
-def build_database(catalog: SchemaCatalog, raw_rows: dict[str, list[dict]], options: LoadOptions | None = None) -> Database:
-    """Build a :class:`Database` from per-table row dictionaries.
-
-    Cell values may be strings (as read from CSV) or plain Python numbers.
+    A table's data is either a list of row dictionaries, where a cell absent
+    from a row is missing, or a dictionary holding one sequence per schema
+    column, all of one length (the form :func:`load_database` passes).  Cell
+    values may be strings (as read from CSV), plain Python numbers or None.
     """
     opts = options or LoadOptions()
+    missing_cells = frozenset((None, *opts.missing_tokens))
 
-    kept: dict[str, list[dict]] = {}
-    kept_orig: dict[str, list[int]] = {}
+    # Missing masks, then rows with a missing key cell rejected.
+    cells: dict[str, dict[str, Sequence]] = {}
+    missing: dict[str, dict[str, np.ndarray]] = {}
+    row_numbers: dict[str, np.ndarray] = {}  # 1-based input row of each kept row
     rejected: dict[str, int] = {}
     for ts in catalog.tables:
-        rows = raw_rows.get(ts.name)
-        if rows is None:
-            raise DataError(f"no data provided for table {ts.name}")
-        key_cols = [c.name for c in ts.columns if c.is_key]
-        krows: list[dict] = []
-        korig: list[int] = []
-        nrej = 0
-        for i, row in enumerate(rows, start=1):
-            norm = {}
-            for c in ts.columns:
-                v = row.get(c.name)
-                norm[c.name] = None if _is_missing(v, opts.missing_tokens) else v
-            if any(norm[k] is None for k in key_cols):
-                nrej += 1
-                continue
-            krows.append(norm)
-            korig.append(i)
-        kept[ts.name] = krows
-        kept_orig[ts.name] = korig
-        rejected[ts.name] = nrej
+        cols = _table_columns(ts, raw_tables.get(ts.name))
+        masks = {name: np.fromiter(map(missing_cells.__contains__, col), bool, len(col)) for name, col in cols.items()}
+        n = len(cols[ts.columns[0].name])
+        reject = np.zeros(n, dtype=bool)
+        for c in ts.columns:
+            if c.is_key:
+                reject |= masks[c.name]
+        kept = np.flatnonzero(~reject)
+        if len(kept) < n:
+            picks = kept.tolist()
+            cols = {name: [col[i] for i in picks] for name, col in cols.items()}
+            masks = {name: mask[kept] for name, mask in masks.items()}
+        cells[ts.name] = cols
+        missing[ts.name] = masks
+        row_numbers[ts.name] = kept + 1
+        rejected[ts.name] = n - len(kept)
 
     # Primary keys first (codes 0..n-1 in row order), then foreign keys in
-    # declaration order so dangling values get stable codes past n_primary.
+    # declaration order, table by table, so dangling values get stable codes
+    # past n_primary in first-seen order.
     domains: dict[tuple[str, str], KeyDomain] = {}
+    key_codes: dict[tuple[str, str], np.ndarray] = {}
     for ts in catalog.tables:
         pk = ts.primary_key
-        dom = KeyDomain(table=ts.name, column=pk.name)
-        for row in kept[ts.name]:
-            v = str(row[pk.name])
-            if v in dom.code_of:
-                raise DataError(f"duplicate primary key value {ts.name}.{pk.name}={v!r}")
-            dom.code_of[v] = len(dom.values)
-            dom.values.append(v)
-        dom.n_primary = len(dom.values)
-        domains[(ts.name, pk.name)] = dom
+        values = list(map(str, cells[ts.name][pk.name]))
+        code_of = dict(zip(values, range(len(values))))
+        if len(code_of) < len(values):
+            seen: set[str] = set()
+            for v in values:
+                if v in seen:
+                    raise DataError(f"duplicate primary key value {ts.name}.{pk.name}={v!r}")
+                seen.add(v)
+        domains[(ts.name, pk.name)] = KeyDomain(
+            table=ts.name, column=pk.name, values=values, code_of=code_of, n_primary=len(values)
+        )
+        key_codes[(ts.name, pk.name)] = np.arange(len(values), dtype=np.int64)
 
     dangling: dict[tuple[str, str], int] = {}
     for ts in catalog.tables:
         for c in ts.foreign_keys:
             dom = domains[(c.ref_table, c.ref_column)]
-            miss = 0
-            for row in kept[ts.name]:
-                v = str(row[c.name])
-                code = dom.code_of.get(v)
-                if code is None:
-                    dom.code_of[v] = len(dom.values)
-                    dom.values.append(v)
-                    miss += 1
-                elif code >= dom.n_primary:
-                    miss += 1
-            dangling[(ts.name, c.name)] = miss
+            col = cells[ts.name][c.name]
+            codes = np.fromiter(map(dom.code_of.get, col, repeat(-1)), np.int64, len(col))
+            # Dangling values and cells that are not strings yet.
+            for i in np.flatnonzero(codes < 0).tolist():
+                value = str(col[i])
+                code = dom.code_of.setdefault(value, len(dom.values))
+                if code == len(dom.values):
+                    dom.values.append(value)
+                codes[i] = code
+            key_codes[(ts.name, c.name)] = codes
+            dangling[(ts.name, c.name)] = int(np.count_nonzero(codes >= dom.n_primary))
 
     strip = opts.strip_target_features
     tables: dict[str, TableData] = {}
     for ts in catalog.tables:
-        rows = kept[ts.name]
-        orig = kept_orig[ts.name]
-        n = len(rows)
         columns: dict[str, Column] = {}
         for c in ts.columns:
             if (
@@ -287,48 +293,18 @@ def build_database(catalog: SchemaCatalog, raw_rows: dict[str, list[dict]], opti
                 and c.name != catalog.target_attribute
             ):
                 continue
+            col = cells[ts.name][c.name]
+            miss = missing[ts.name][c.name]
             if c.kind == KIND_PRIMARY_KEY:
-                dom = domains[(ts.name, c.name)]
-                codes = np.fromiter((dom.code_of[str(r[c.name])] for r in rows), dtype=np.int64, count=n)
-                columns[c.name] = KeyColumn(codes=codes, domain=dom)
+                columns[c.name] = KeyColumn(codes=key_codes[(ts.name, c.name)], domain=domains[(ts.name, c.name)])
             elif c.kind == KIND_FOREIGN_KEY:
-                dom = domains[(c.ref_table, c.ref_column)]
-                codes = np.fromiter((dom.code_of[str(r[c.name])] for r in rows), dtype=np.int64, count=n)
-                columns[c.name] = KeyColumn(codes=codes, domain=dom)
+                columns[c.name] = KeyColumn(codes=key_codes[(ts.name, c.name)], domain=domains[(c.ref_table, c.ref_column)])
             elif c.kind == KIND_NUMERIC:
-                vals = np.full(n, np.nan, dtype=np.float64)
-                missing = np.zeros(n, dtype=bool)
-                for i, row in enumerate(rows):
-                    v = row[c.name]
-                    if v is None:
-                        missing[i] = True
-                        continue
-                    try:
-                        vals[i] = float(v)
-                    except (TypeError, ValueError):
-                        raise DataError(
-                            f"table {ts.name} column {c.name} row {orig[i]}: not numeric: {v!r}"
-                        ) from None
-                columns[c.name] = NumericColumn(values=vals, missing=missing)
+                where = f"table {ts.name} column {c.name}"
+                columns[c.name] = _numeric_column(col, miss, row_numbers[ts.name], where)
             elif c.kind == KIND_CATEGORICAL:
-                codes = np.full(n, -1, dtype=np.int64)
-                missing = np.zeros(n, dtype=bool)
-                dictionary: list[str] = []
-                code_of: dict[str, int] = {}
-                for i, row in enumerate(rows):
-                    v = row[c.name]
-                    if v is None:
-                        missing[i] = True
-                        continue
-                    s = str(v)
-                    code = code_of.get(s)
-                    if code is None:
-                        code = len(dictionary)
-                        code_of[s] = code
-                        dictionary.append(s)
-                    codes[i] = code
-                columns[c.name] = CategoricalColumn(codes=codes, dictionary=tuple(dictionary), missing=missing)
-        tables[ts.name] = TableData(name=ts.name, n_rows=n, columns=columns)
+                columns[c.name] = _categorical_column(col, miss)
+        tables[ts.name] = TableData(name=ts.name, n_rows=len(row_numbers[ts.name]), columns=columns)
 
     indexes: dict[tuple[str, str], KeyIndex] = {}
     for ts in catalog.tables:
@@ -349,29 +325,100 @@ def build_database(catalog: SchemaCatalog, raw_rows: dict[str, list[dict]], opti
     )
 
 
+def _table_columns(ts: TableSchema, data) -> dict[str, Sequence]:
+    """One table's data as ``{column: cells}`` over its schema columns."""
+    if data is None:
+        raise DataError(f"no data provided for table {ts.name}")
+    if not isinstance(data, dict):
+        return {c.name: [row.get(c.name) for row in data] for c in ts.columns}
+    absent = [c.name for c in ts.columns if c.name not in data]
+    if absent:
+        raise DataError(f"no data provided for table {ts.name} columns: {', '.join(absent)}")
+    cols = {c.name: data[c.name] for c in ts.columns}
+    if len({len(col) for col in cols.values()}) > 1:
+        raise DataError(f"table {ts.name}: columns of different lengths")
+    return cols
+
+
+def _present(col: Sequence, miss: np.ndarray) -> Sequence:
+    return list(compress(col, (~miss).tolist())) if miss.any() else col
+
+
+def _numeric_column(col: Sequence, miss: np.ndarray, row_numbers: np.ndarray, where: str) -> NumericColumn:
+    present = _present(col, miss)
+    try:
+        parsed = np.fromiter(map(float, present), np.float64, len(present))
+    except (TypeError, ValueError):
+        parsed = None
+    if parsed is None or not np.isfinite(parsed).all():
+        # Report the first bad cell in row order, whichever way it is bad.
+        for i in np.flatnonzero(~miss).tolist():
+            v = col[i]
+            try:
+                x = float(v)
+            except (TypeError, ValueError):
+                raise DataError(f"{where} row {row_numbers[i]}: not numeric: {v!r}") from None
+            if not math.isfinite(x):
+                raise DataError(f"{where} row {row_numbers[i]}: not finite: {v!r}")
+    values = np.full(len(col), np.nan, dtype=np.float64)
+    values[~miss] = parsed
+    return NumericColumn(values=values, missing=miss)
+
+
+def _categorical_column(col: Sequence, miss: np.ndarray) -> CategoricalColumn:
+    present = list(map(str, _present(col, miss)))
+    dictionary = tuple(dict.fromkeys(present))  # first-seen order
+    code_of = {v: i for i, v in enumerate(dictionary)}
+    codes = np.full(len(col), -1, dtype=np.int64)
+    codes[~miss] = np.fromiter(map(code_of.__getitem__, present), np.int64, len(present))
+    return CategoricalColumn(codes=codes, dictionary=dictionary, missing=miss)
+
+
 def load_database(catalog: SchemaCatalog, data_dir, options: LoadOptions | None = None) -> Database:
     """Load every table's CSV from ``data_dir`` and build the database.
 
-    CSVs are RFC-4180-style with a header row.  The header must contain every
-    schema column (order-insensitive); extra columns are ignored.
+    CSVs are RFC-4180-style UTF-8 with a header row; a byte-order mark is
+    skipped.  The header must name every schema column (order-insensitive)
+    and no column twice; extra columns are ignored.  Every data row has the
+    header's number of fields; blank lines are skipped.
     """
-    raw: dict[str, list[dict]] = {}
+    raw: dict[str, dict[str, list]] = {}
     for ts in catalog.tables:
         path = Path(data_dir) / ts.source_file
         try:
-            fh = open(path, "r", newline="", encoding="utf-8")
+            fh = open(path, "r", newline="", encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
         with fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file (missing header)")
-            absent = [c.name for c in ts.columns if c.name not in reader.fieldnames]
-            if absent:
-                raise DataError(f"{path}: header is missing schema columns: {', '.join(absent)}")
-            rows = []
-            wanted = [c.name for c in ts.columns]
-            for rec in reader:
-                rows.append({name: rec.get(name) for name in wanted})
-            raw[ts.name] = rows
+            reader = csv.reader(fh)
+            try:
+                header, rows = _read_rows(reader, path)
+            except csv.Error as exc:
+                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        absent = [c.name for c in ts.columns if c.name not in header]
+        if absent:
+            raise DataError(f"{path}: header is missing schema columns: {', '.join(absent)}")
+        positions = {c.name: header.index(c.name) for c in ts.columns}
+        raw[ts.name] = {name: [row[i] for row in rows] for name, i in positions.items()}
     return build_database(catalog, raw, options)
+
+
+def _read_rows(reader, path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of one CSV, blank lines skipped."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file (missing header)")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise DataError(f"{path}: header repeats column {repeated[0]!r}")
+    width = len(header)
+    rows = []
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            raise DataError(f"{path} line {reader.line_num}: {len(row)} fields, header has {width}")
+        rows.append(row)
+    return header, rows

@@ -3,8 +3,10 @@
 Everything here works on plain Python loops: nested-loop joins over raw row
 dictionaries, naive aggregation via the statistics module, scalar aggregates
 of one multiset, recursive path enumeration, a brute-force split evaluator,
-and a row-at-a-time router.  Only the router reads the package's loaded
-database, one cell at a time; none of it uses the vectorized code paths.
+a row-at-a-time database builder and a row-at-a-time router.  Only the router
+reads the package's loaded database, one cell at a time, and only the builder
+builds one (with the package's key index); none of it uses the vectorized
+code paths.
 """
 
 from __future__ import annotations
@@ -17,7 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from reltree.features import Agg
-from reltree.storage import CategoricalColumn, NumericColumn
+from reltree.schema import KIND_CATEGORICAL, KIND_FOREIGN_KEY, KIND_NUMERIC, KIND_PRIMARY_KEY
+from reltree.storage import (
+    CategoricalColumn,
+    Database,
+    DataError,
+    KeyColumn,
+    KeyDomain,
+    KeyIndex,
+    LoadOptions,
+    NumericColumn,
+    TableData,
+)
 
 MISSING_TOKENS = ("", "?")
 
@@ -539,6 +552,156 @@ def random_micro_db(seed):
             rows.append(row)
         tables[name] = rows
     return doc, tables
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time database build: one normalized dict per row, one missing test
+# and one parse per cell.
+
+
+def naive_build_database(catalog, raw_rows, options=None):
+    """Row-at-a-time reference for ``storage.build_database`` on row dictionaries.
+
+    Each row is normalized into a dict, each cell tested for missingness and
+    each number parsed on its own; codes, dictionaries and error messages
+    follow the same first-seen rules as the columnar builder.
+    """
+    opts = options or LoadOptions()
+
+    kept: dict[str, list[dict]] = {}
+    kept_orig: dict[str, list[int]] = {}
+    rejected: dict[str, int] = {}
+    for ts in catalog.tables:
+        rows = raw_rows.get(ts.name)
+        if rows is None:
+            raise DataError(f"no data provided for table {ts.name}")
+        key_cols = [c.name for c in ts.columns if c.is_key]
+        krows: list[dict] = []
+        korig: list[int] = []
+        nrej = 0
+        for i, row in enumerate(rows, start=1):
+            norm = {}
+            for c in ts.columns:
+                v = row.get(c.name)
+                missing = v is None or (isinstance(v, str) and v in opts.missing_tokens)
+                norm[c.name] = None if missing else v
+            if any(norm[k] is None for k in key_cols):
+                nrej += 1
+                continue
+            krows.append(norm)
+            korig.append(i)
+        kept[ts.name] = krows
+        kept_orig[ts.name] = korig
+        rejected[ts.name] = nrej
+
+    # Primary keys first (codes 0..n-1 in row order), then foreign keys in
+    # declaration order so dangling values get stable codes past n_primary.
+    domains: dict[tuple[str, str], KeyDomain] = {}
+    for ts in catalog.tables:
+        pk = ts.primary_key
+        dom = KeyDomain(table=ts.name, column=pk.name)
+        for row in kept[ts.name]:
+            v = str(row[pk.name])
+            if v in dom.code_of:
+                raise DataError(f"duplicate primary key value {ts.name}.{pk.name}={v!r}")
+            dom.code_of[v] = len(dom.values)
+            dom.values.append(v)
+        dom.n_primary = len(dom.values)
+        domains[(ts.name, pk.name)] = dom
+
+    dangling: dict[tuple[str, str], int] = {}
+    for ts in catalog.tables:
+        for c in ts.foreign_keys:
+            dom = domains[(c.ref_table, c.ref_column)]
+            miss = 0
+            for row in kept[ts.name]:
+                v = str(row[c.name])
+                code = dom.code_of.get(v)
+                if code is None:
+                    dom.code_of[v] = len(dom.values)
+                    dom.values.append(v)
+                    miss += 1
+                elif code >= dom.n_primary:
+                    miss += 1
+            dangling[(ts.name, c.name)] = miss
+
+    strip = opts.strip_target_features
+    tables: dict[str, TableData] = {}
+    for ts in catalog.tables:
+        rows = kept[ts.name]
+        orig = kept_orig[ts.name]
+        n = len(rows)
+        columns = {}
+        for c in ts.columns:
+            if (
+                strip
+                and ts.name == catalog.target_table
+                and not c.is_key
+                and c.name != catalog.target_attribute
+            ):
+                continue
+            if c.kind == KIND_PRIMARY_KEY:
+                dom = domains[(ts.name, c.name)]
+                codes = np.fromiter((dom.code_of[str(r[c.name])] for r in rows), dtype=np.int64, count=n)
+                columns[c.name] = KeyColumn(codes=codes, domain=dom)
+            elif c.kind == KIND_FOREIGN_KEY:
+                dom = domains[(c.ref_table, c.ref_column)]
+                codes = np.fromiter((dom.code_of[str(r[c.name])] for r in rows), dtype=np.int64, count=n)
+                columns[c.name] = KeyColumn(codes=codes, domain=dom)
+            elif c.kind == KIND_NUMERIC:
+                vals = np.full(n, np.nan, dtype=np.float64)
+                missing = np.zeros(n, dtype=bool)
+                for i, row in enumerate(rows):
+                    v = row[c.name]
+                    if v is None:
+                        missing[i] = True
+                        continue
+                    try:
+                        vals[i] = float(v)
+                    except (TypeError, ValueError):
+                        raise DataError(
+                            f"table {ts.name} column {c.name} row {orig[i]}: not numeric: {v!r}"
+                        ) from None
+                    if not math.isfinite(vals[i]):
+                        raise DataError(f"table {ts.name} column {c.name} row {orig[i]}: not finite: {v!r}")
+                columns[c.name] = NumericColumn(values=vals, missing=missing)
+            elif c.kind == KIND_CATEGORICAL:
+                codes = np.full(n, -1, dtype=np.int64)
+                missing = np.zeros(n, dtype=bool)
+                dictionary: list[str] = []
+                code_of: dict[str, int] = {}
+                for i, row in enumerate(rows):
+                    v = row[c.name]
+                    if v is None:
+                        missing[i] = True
+                        continue
+                    s = str(v)
+                    code = code_of.get(s)
+                    if code is None:
+                        code = len(dictionary)
+                        code_of[s] = code
+                        dictionary.append(s)
+                    codes[i] = code
+                columns[c.name] = CategoricalColumn(codes=codes, dictionary=tuple(dictionary), missing=missing)
+        tables[ts.name] = TableData(name=ts.name, n_rows=n, columns=columns)
+
+    indexes: dict[tuple[str, str], KeyIndex] = {}
+    for ts in catalog.tables:
+        for c in ts.columns:
+            if not c.is_key:
+                continue
+            col = tables[ts.name].columns[c.name]
+            assert isinstance(col, KeyColumn)
+            indexes[(ts.name, c.name)] = KeyIndex.build(col.codes, len(col.domain))
+
+    return Database(
+        catalog=catalog,
+        tables=tables,
+        indexes=indexes,
+        key_domains=domains,
+        dangling=dangling,
+        rejected_rows=rejected,
+    )
 
 
 # ---------------------------------------------------------------------------

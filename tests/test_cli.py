@@ -147,3 +147,17 @@ def test_cv_eager_mode(school_paths, tmp_path):
     doc = json.loads(report_path.read_text())
     assert doc["mode"] == "eager"
     assert len(doc["fold_accuracies"]) == 5
+
+
+def test_non_finite_number_exits_one_without_traceback(school_paths, tmp_path, capsys):
+    student = school_paths / "student.csv"
+    lines = student.read_text(encoding="utf-8").splitlines()
+    sid = lines[1].split(",")[0]
+    lines[1] = f"{sid},nan"
+    student.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["learn", "--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths),
+            "--out", str(tmp_path / "m.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: table Student column grade row 1: not finite: 'nan'"
+    assert run(argv + ["--missing-token", "nan"]) == 0

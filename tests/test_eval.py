@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from reltree.evaluate import (
     stratified_folds,
     write_school_dataset,
 )
-from reltree.params import LearnParams
+from reltree.params import RESTRICTED, UNRESTRICTED, LearnParams
 from reltree.schema import load_schema
 from reltree.storage import load_database
 from reltree.tree import grow_tree, predict_many
@@ -88,6 +89,18 @@ def test_cv_report_serializes(tmp_path):
     assert len(doc["fold_accuracies"]) == 3
     assert doc["params"]["min_ig"] == 0.001
     assert "accuracy=" in report.summary()
+
+
+def test_cv_report_params_are_the_ones_its_folds_used():
+    data = generate_school_db(10, SchoolSpec(n_professors=60))
+    restricted = LearnParams(strategy=RESTRICTED)
+    unrestricted = cross_validate(data.db, restricted, k=3, seed=0, mode="lazy-unrestricted")
+    assert unrestricted.params == replace(restricted, strategy=UNRESTRICTED)
+    assert unrestricted.to_dict()["params"]["strategy"] == UNRESTRICTED
+    lazy = cross_validate(data.db, LearnParams(strategy=UNRESTRICTED), k=3, seed=0, mode="lazy-restricted")
+    assert lazy.params.strategy == RESTRICTED
+    eager_params = LearnParams(strategy=UNRESTRICTED, min_inst=4)
+    assert cross_validate(data.db, eager_params, k=3, seed=0, mode="eager").params == eager_params
 
 
 def test_generator_labels_match_rule_exactly():

@@ -1,14 +1,21 @@
+import csv
+import random
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import school_doc, school_rows, write_school_files
-from oracles import random_micro_db
+from oracles import naive_build_database, random_micro_db
 
 from reltree.schema import catalog_from_dict, load_schema
 from reltree.storage import (
+    CategoricalColumn,
     DataError,
+    KeyColumn,
     LoadOptions,
+    NumericColumn,
     build_database,
     load_database,
     rows_matching,
@@ -175,3 +182,190 @@ def test_key_index_matches_scan_property(codes):
     col = db.tables["B"].columns["a"].codes
     for code in range(8):
         assert np.array_equal(rows_matching(db, "B", "a", code), np.nonzero(col == code)[0])
+
+
+def assert_same_database(got, want):
+    assert list(got.tables) == list(want.tables)
+    for name, table in want.tables.items():
+        other = got.tables[name]
+        assert other.n_rows == table.n_rows
+        assert list(other.columns) == list(table.columns)
+        for col_name, col in table.columns.items():
+            mine = other.columns[col_name]
+            assert type(mine) is type(col), (name, col_name)
+            if isinstance(col, KeyColumn):
+                assert mine.codes.dtype == np.int64 and np.array_equal(mine.codes, col.codes)
+                assert (mine.domain.table, mine.domain.column) == (col.domain.table, col.domain.column)
+            elif isinstance(col, NumericColumn):
+                assert mine.values.dtype == np.float64
+                assert np.array_equal(mine.values, col.values, equal_nan=True)
+                assert mine.missing.dtype == bool and np.array_equal(mine.missing, col.missing)
+            else:
+                assert isinstance(col, CategoricalColumn)
+                assert mine.codes.dtype == np.int64 and np.array_equal(mine.codes, col.codes)
+                assert mine.dictionary == col.dictionary
+                assert mine.missing.dtype == bool and np.array_equal(mine.missing, col.missing)
+    assert list(got.key_domains) == list(want.key_domains)
+    for key, dom in want.key_domains.items():
+        mine = got.key_domains[key]
+        assert mine.values == dom.values
+        assert mine.code_of == dom.code_of
+        assert mine.n_primary == dom.n_primary
+    assert list(got.indexes) == list(want.indexes)
+    for key, index in want.indexes.items():
+        assert np.array_equal(got.indexes[key].starts, index.starts)
+        assert np.array_equal(got.indexes[key].rows, index.rows)
+    assert got.dangling == want.dangling
+    assert got.rejected_rows == want.rejected_rows
+
+
+def _build_or_error(build, catalog, tables, options):
+    try:
+        return build(catalog, tables, options)
+    except DataError as exc:
+        return str(exc)
+
+
+_KEY_VALUE = re.compile(r"[a-z0-9]+k(\d+)")
+
+
+def _perturb(doc, tables, rnd):
+    """Mix Python numbers, absent cells, None, extra tokens and bad numbers into the rows."""
+    kinds = {t["name"]: dict(next(iter(c.items())) for c in t["columns"]) for t in doc["tables"]}
+    numeric_keys = rnd.random() < 0.5  # every key "<table>k<n>" becomes n, as an int or a string
+    for name, rows in tables.items():
+        for row in rows:
+            for col in list(row):
+                kind, v, r = kinds[name][col], row[col], rnd.random()
+                if numeric_keys and (kind == "pk" or kind.startswith("fk(")) and _KEY_VALUE.fullmatch(v):
+                    n = int(_KEY_VALUE.fullmatch(v).group(1))
+                    row[col] = n if rnd.random() < 0.5 else str(n)
+                elif kind == "num" and r < 0.004:
+                    row[col] = rnd.choice(["twelve", "nan", "-inf", float("inf")])
+                elif r < 0.03:
+                    del row[col]
+                elif r < 0.06:
+                    row[col] = None
+                elif r < 0.10:
+                    row[col] = "NA"
+                elif kind == "num" and v not in ("", "?") and r < 0.4:
+                    row[col] = int(float(v)) if float(v).is_integer() else float(v)
+                elif kind == "cat" and r < 0.15:
+                    row[col] = rnd.choice([1, 1.0, 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    tokens=st.sampled_from([("", "?"), ("", "?", "NA"), ("", "?", "NA", "0")]),
+)
+def test_build_database_matches_naive_builder(seed, tokens):
+    doc, tables = random_micro_db(seed)
+    _perturb(doc, tables, random.Random(seed))
+    catalog = catalog_from_dict(doc)
+    options = LoadOptions(missing_tokens=tokens)
+    want = _build_or_error(naive_build_database, catalog, tables, options)
+    got = _build_or_error(build_database, catalog, tables, options)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_database(got, want)
+
+
+def _write_csvs(doc, tables, directory, rnd):
+    directory.mkdir()
+    for entry in doc["tables"]:
+        cols = [next(iter(c)) for c in entry["columns"]] + ["unused"]
+        rnd.shuffle(cols)
+        with open(directory / entry["file"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(cols)
+            for row in tables[entry["name"]]:
+                writer.writerow([row.get(c, "u") for c in cols])
+
+
+def test_load_database_equals_build_database_on_same_rows(tmp_path):
+    for seed in range(12):
+        doc, tables = random_micro_db(seed)
+        catalog = catalog_from_dict(doc)
+        _write_csvs(doc, tables, tmp_path / str(seed), random.Random(seed))
+        assert_same_database(load_database(catalog, tmp_path / str(seed)), build_database(catalog, tables))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999", float("nan")])
+def test_non_finite_number_rejected(cell):
+    rows = school_rows()
+    rows["Student"][0]["grade"] = cell
+    with pytest.raises(DataError) as info:
+        build_database(catalog_from_dict(school_doc()), rows)
+    assert str(info.value) == f"table Student column grade row 1: not finite: {cell!r}"
+
+
+def test_non_finite_token_can_mean_missing():
+    rows = school_rows()
+    rows["Student"][1]["grade"] = "nan"
+    db = build_database(catalog_from_dict(school_doc()), rows, LoadOptions(missing_tokens=("", "nan")))
+    grade = db.tables["Student"].columns["grade"]
+    assert grade.missing.tolist() == [False, True, False, True]
+
+
+def test_first_bad_number_in_row_order_is_reported():
+    rows = school_rows()
+    rows["Student"][1]["grade"] = "inf"
+    rows["Student"][2]["grade"] = "twelve"
+    with pytest.raises(DataError, match=r"^table Student column grade row 2: not finite: 'inf'$"):
+        build_database(catalog_from_dict(school_doc()), rows)
+
+
+def test_column_form_needs_every_schema_column():
+    doc = {"target": "A.y", "tables": [{"name": "A", "columns": [{"id": "pk"}, {"y": "cat"}]}]}
+    catalog = catalog_from_dict(doc)
+    db = build_database(catalog, {"A": {"id": ["1", "2"], "y": ["a", "?"]}})
+    assert db.tables["A"].columns["y"].missing.tolist() == [False, True]
+    with pytest.raises(DataError, match="table A columns: y"):
+        build_database(catalog, {"A": {"id": ["1"]}})
+    with pytest.raises(DataError, match="different lengths"):
+        build_database(catalog, {"A": {"id": ["1", "2"], "y": ["a"]}})
+
+
+def test_utf8_byte_order_mark_is_skipped(school_dir):
+    text = (school_dir / "student.csv").read_text(encoding="utf-8")
+    (school_dir / "student.csv").write_text("\ufeff" + text, encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    assert_same_database(load_database(catalog, school_dir), build_database(catalog, school_rows()))
+
+
+def test_duplicate_header_name_rejected(school_dir):
+    (school_dir / "student.csv").write_text("SID,grade,SID\ns1,8,s9\n", encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    with pytest.raises(DataError, match=r"student\.csv: header repeats column 'SID'"):
+        load_database(catalog, school_dir)
+
+
+@pytest.mark.parametrize("bad_row", ["s5", "s5,9,extra"])
+def test_ragged_row_rejected_with_line_number(school_dir, bad_row):
+    (school_dir / "student.csv").write_text(f"SID,grade\ns1,8\n\ns2,10\n{bad_row}\n", encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    fields = len(bad_row.split(","))
+    with pytest.raises(DataError, match=rf"student\.csv line 5: {fields} fields, header has 2"):
+        load_database(catalog, school_dir)
+
+
+def test_blank_lines_are_skipped(school_dir):
+    (school_dir / "student.csv").write_text("SID,grade\n\ns1,8\ns2,10\n\n\ns3,12\ns4,\n\n", encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    assert_same_database(load_database(catalog, school_dir), build_database(catalog, school_rows()))
+
+
+def test_csv_parse_error_is_a_data_error(school_dir):
+    (school_dir / "student.csv").write_text("SID,grade\ns1,8\ns2," + "9" * 200_000 + "\n", encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    with pytest.raises(DataError, match=r"student\.csv line 3: field larger than field limit"):
+        load_database(catalog, school_dir)
+
+
+def test_non_utf8_file_is_a_data_error(school_dir):
+    (school_dir / "student.csv").write_bytes(b"SID,grade\ns1,8\ns2,\xff9\n")
+    catalog = load_schema(school_dir / "schema.yaml")
+    with pytest.raises(DataError, match=r"student\.csv: not UTF-8 text: invalid start byte"):
+        load_database(catalog, school_dir)
