@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .eager import BudgetExceededError, export_flat_csv, propositionalize, write_manifest
@@ -200,9 +201,15 @@ def _cmd_synth(args) -> int:
         overrides = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         if not isinstance(overrides, dict):
             raise DataError(f"{args.spec}: generator spec must be a JSON object")
-        if "genres" in overrides:
-            overrides["genres"] = tuple(overrides["genres"])
-        spec = SchoolSpec(**overrides)
+        unknown = sorted(set(overrides) - {f.name for f in fields(SchoolSpec)})
+        if unknown:
+            raise DataError(f"{args.spec}: unknown generator spec field(s): {', '.join(unknown)}")
+        try:
+            if "genres" in overrides:
+                overrides["genres"] = tuple(overrides["genres"])
+            spec = SchoolSpec(**overrides)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{args.spec}: {exc}") from None
     data = write_school_dataset(args.out, args.seed, spec)
     n_rows = sum(len(rows) for rows in data.tables.values())
     print(f"wrote school dataset ({data.spec.rule} rule, {data.spec.n_professors} professors, {n_rows} rows) -> {args.out}")

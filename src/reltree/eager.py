@@ -103,7 +103,7 @@ def propositionalize(
 
 
 def train_flat(db: Database, max_path_len: int | None, params: LearnParams, instance_ids=None) -> TreeModel:
-    """Eager baseline learner: propositionalize, then grow with extension disabled."""
+    """Eager baseline learner: propositionalize, then grow from an empty frontier (no extension)."""
     if instance_ids is None:
         label_ids, _, _ = target_labels(db)
         instance_ids = label_ids
@@ -114,10 +114,9 @@ def train_flat(db: Database, max_path_len: int | None, params: LearnParams, inst
         labels=flat.labels[labeled],
         n_classes=len(flat.class_labels),
         columns=[c.take(labeled) for c in flat.columns],
-        frontier=(),
-        instantiations={},
+        frontier={},
     )
-    root = _grow(db, ldt, params, depth=0, used=frozenset(), extendable=False)
+    root = _grow(db, ldt, params, depth=0, used=frozenset())
     return model_from_root(db, root, params, mode="eager")
 
 

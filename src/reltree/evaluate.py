@@ -228,6 +228,10 @@ class SchoolSpec:
     p_no_movie: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n_professors", "courses_per_professor", "enrollments_per_course", "n_students", "n_movies"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if min(self.n_professors, self.n_students, self.n_movies) < 1:
             raise ValueError("sizes must be >= 1")
         if self.courses_per_professor < 0 or self.enrollments_per_course < 0:

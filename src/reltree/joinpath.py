@@ -86,47 +86,40 @@ def _hop_from(adj, table: str) -> Hop:
     )
 
 
-def _grow_through_associative(catalog: SchemaCatalog, depths: dict[str, int], path: JoinPath) -> list[JoinPath]:
-    """Continue ``path`` through associative terminals until it ends on a data table."""
+def _walk(catalog: SchemaCatalog, depths: dict[str, int], path: JoinPath) -> list[JoinPath]:
+    """One-step extensions of ``path``, continued through associative tables until each ends on a data table."""
     terminal = path.terminal_table
-    if not is_associative(catalog, terminal):
-        return [path]
-    out: list[JoinPath] = []
     visited = set(path.tables)
+    out: list[JoinPath] = []
     for adj in neighbors(catalog, terminal):
-        if adj.neighbor in visited:
+        if adj.neighbor in visited or depths.get(adj.neighbor, -1) <= depths[terminal]:
             continue
-        if depths.get(adj.neighbor, -1) <= depths[terminal]:
-            continue
-        out.extend(_grow_through_associative(catalog, depths, path.extended(_hop_from(adj, terminal))))
+        ext = path.extended(_hop_from(adj, terminal))
+        out.extend(_walk(catalog, depths, ext) if is_associative(catalog, adj.neighbor) else [ext])
     return out
 
 
 def initial_paths(catalog: SchemaCatalog) -> list[JoinPath]:
     """Length-1 paths from the target table, with associative lookahead applied."""
-    depths = table_depths(catalog)
-    root = empty_path(catalog)
-    out: list[JoinPath] = []
-    for adj in neighbors(catalog, catalog.target_table):
-        if adj.neighbor == catalog.target_table:
-            continue  # self-joins are out of scope
-        out.extend(_grow_through_associative(catalog, depths, root.extended(_hop_from(adj, catalog.target_table))))
-    return sorted(out, key=JoinPath.sort_key)
+    return candidate_extensions(catalog, empty_path(catalog))
 
 
 def candidate_extensions(catalog: SchemaCatalog, path: JoinPath) -> list[JoinPath]:
     """One-step extensions of ``path``: unvisited, strictly deeper neighbors."""
-    depths = table_depths(catalog)
-    terminal = path.terminal_table
-    visited = set(path.tables)
-    out: list[JoinPath] = []
-    for adj in neighbors(catalog, terminal):
-        if adj.neighbor in visited:
-            continue
-        if depths.get(adj.neighbor, -1) <= depths[terminal]:
-            continue
-        out.extend(_grow_through_associative(catalog, depths, path.extended(_hop_from(adj, terminal))))
-    return sorted(out, key=JoinPath.sort_key)
+    return sorted(_walk(catalog, table_depths(catalog), path), key=JoinPath.sort_key)
+
+
+def _gather(source: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the segments ``source[starts[i]:starts[i] + lengths[i]]``.
+
+    Returns ``(offsets, rows)``: segment ``i`` is ``rows[offsets[i]:offsets[i+1]]``.
+    """
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    total = int(offsets[-1])
+    if not total:
+        return offsets, np.empty(0, dtype=np.int64)
+    idx = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], lengths) + np.repeat(starts, lengths)
+    return offsets, source[idx]
 
 
 @dataclass(eq=False)
@@ -159,14 +152,7 @@ class JoinInstantiation:
         if (pos >= len(self.instance_ids)).any() or not np.array_equal(self.instance_ids[pos], ids):
             raise ValueError("restrict: ids are not a subset of the instantiation's instances")
         starts = self.offsets[pos]
-        lengths = self.offsets[pos + 1] - starts
-        new_offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-        total = int(new_offsets[-1])
-        if total:
-            idx = np.arange(total, dtype=np.int64) - np.repeat(new_offsets[:-1], lengths) + np.repeat(starts, lengths)
-            new_rows = self.rows[idx]
-        else:
-            new_rows = np.empty(0, dtype=np.int64)
+        new_offsets, new_rows = _gather(self.rows, starts, self.offsets[pos + 1] - starts)
         return JoinInstantiation(path=self.path, instance_ids=ids, offsets=new_offsets, rows=new_rows)
 
 
@@ -196,14 +182,7 @@ def join_hop(db: Database, inst: JoinInstantiation, hop: Hop) -> JoinInstantiati
 
     codes = col.codes[inst.rows]
     starts = index.starts[codes]
-    lengths = index.starts[codes + 1] - starts
-    cum = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-    total = int(cum[-1])
-    if total:
-        idx = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], lengths) + np.repeat(starts, lengths)
-        new_rows = index.rows[idx]
-    else:
-        new_rows = np.empty(0, dtype=np.int64)
+    cum, new_rows = _gather(index.rows, starts, index.starts[codes + 1] - starts)
     new_offsets = cum[inst.offsets]
     return JoinInstantiation(
         path=inst.path.extended(hop), instance_ids=inst.instance_ids, offsets=new_offsets, rows=new_rows
@@ -255,8 +234,9 @@ def project_values(db: Database, inst: JoinInstantiation, attribute: str) -> Val
 def instantiate(db: Database, path: JoinPath, cache: dict[JoinPath, JoinInstantiation]) -> JoinInstantiation:
     """Instantiation for ``path``, reusing the longest cached prefix.
 
-    ``cache`` must hold at least the empty path's instantiation; every prefix
-    built along the way is cached too, so sibling extensions share work.
+    ``cache`` must hold a prefix of ``path``, if only the empty path; every
+    prefix built along the way is cached too, so sibling extensions share
+    work.
     """
     if path in cache:
         return cache[path]

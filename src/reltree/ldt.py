@@ -1,13 +1,14 @@
 """Per-tree-node local data tables and their extension machinery.
 
 An LDT carries the node's instance ids and labels, every feature column
-constructed on its root-to-node path, the frontier of feature-bearing join
-paths not yet extended, and the cached instantiations (restricted views
-shared down the tree).  Extending an LDT materializes features for candidate
-path extensions; which frontier paths get extended depends on the strategy:
-all of them (unrestricted), or only paths whose features were used by an
-ancestor split (restricted).  Length-1 initial paths were introduced
-unconditionally at the root and stay eligible under either strategy.
+constructed on its root-to-node path, and its frontier: an ordered map from
+each feature-bearing join path not yet extended to its join, built over this
+node's instances or an ancestor's (children of a split share the map).
+Extending an LDT materializes features for candidate path extensions; which
+frontier paths get extended depends on the strategy: all of them
+(unrestricted), or only paths whose features were used by an ancestor split
+(restricted).  Length-1 initial paths were introduced unconditionally at the
+root and stay eligible under either strategy.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ class LocalDataTable:
     labels: np.ndarray
     n_classes: int
     columns: list[FeatureColumn]
-    frontier: tuple[JoinPath, ...]  # feature-bearing paths not yet extended
-    instantiations: dict[JoinPath, JoinInstantiation]
+    frontier: dict[JoinPath, JoinInstantiation]  # paths not yet extended -> join over these or more instances
 
     def __len__(self) -> int:
         return len(self.instance_ids)
@@ -81,18 +81,17 @@ def build_root_ldt(db: Database, params: LearnParams, instance_ids=None) -> Loca
     cache: dict[JoinPath, JoinInstantiation] = {root_inst.path: root_inst}
     columns = features_for_path(db, root_inst, params)
 
-    initials = initial_paths(db.catalog)
-    for path in initials:
-        inst = instantiate(db, path, cache)
-        columns.extend(features_for_path(db, inst, params))
+    frontier: dict[JoinPath, JoinInstantiation] = {}
+    for path in initial_paths(db.catalog):
+        frontier[path] = instantiate(db, path, cache)
+        columns.extend(features_for_path(db, frontier[path], params))
 
     return LocalDataTable(
         instance_ids=all_ids,
         labels=all_labels,
         n_classes=len(classes),
         columns=columns,
-        frontier=tuple(initials),
-        instantiations=cache,
+        frontier=frontier,
     )
 
 
@@ -102,8 +101,11 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
     Returns a new LDT with the extension features appended (the original is
     unchanged), or None when no frontier path qualifies under the strategy
     (the inextensible signal).  Extended paths leave the frontier; their
-    extensions join it.
+    extensions join it, each built from the extended path's join restricted
+    to this node's instances.
     """
+    if not ldt.frontier:
+        return None
     if params.strategy == UNRESTRICTED:
         selected = list(ldt.frontier)
     else:
@@ -112,24 +114,25 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
     if not selected:
         return None
 
-    selected_set = set(selected)
-    cache = dict(ldt.instantiations)
     columns = list(ldt.columns)
-    added: list[JoinPath] = []
+    added: dict[JoinPath, JoinInstantiation] = {}
     for path in selected:
+        inst = ldt.frontier[path]
+        if inst.n_instances > len(ldt):
+            inst = inst.restrict(ldt.instance_ids)
+        cache = {path: inst}
         for ext in candidate_extensions(db.catalog, path):
-            inst = instantiate(db, ext, cache)
-            columns.extend(features_for_path(db, inst, params))
-            added.append(ext)
+            added[ext] = instantiate(db, ext, cache)
+            columns.extend(features_for_path(db, added[ext], params))
 
-    frontier = tuple(p for p in ldt.frontier if p not in selected_set) + tuple(sorted(added, key=JoinPath.sort_key))
+    frontier = {p: inst for p, inst in ldt.frontier.items() if p not in selected}
+    frontier.update(sorted(added.items(), key=lambda item: item[0].sort_key()))
     return LocalDataTable(
         instance_ids=ldt.instance_ids,
         labels=ldt.labels,
         n_classes=ldt.n_classes,
         columns=columns,
         frontier=frontier,
-        instantiations=cache,
     )
 
 
@@ -152,8 +155,8 @@ def split_masks(test: "SplitTest", column: FeatureColumn) -> tuple[np.ndarray, n
 def partition_ldt(ldt: LocalDataTable, test: "SplitTest") -> tuple[LocalDataTable, LocalDataTable]:
     """Split an LDT by a test; undefined rows follow the stored route.
 
-    The left child is the pass side.  Children inherit every column, the
-    frontier, and restricted instantiation views.
+    The left child is the pass side.  Children take their rows of every
+    column and share the parent's frontier map; no join is touched.
     """
     column = ldt.column_for(test.descriptor)
     passes, fails, undef = split_masks(test, column)
@@ -166,14 +169,12 @@ def partition_ldt(ldt: LocalDataTable, test: "SplitTest") -> tuple[LocalDataTabl
         raise InvalidSplitError(f"test {test.descriptor.name} sends all rows to one side")
 
     def child(mask: np.ndarray) -> LocalDataTable:
-        ids = ldt.instance_ids[mask]
         return LocalDataTable(
-            instance_ids=ids,
+            instance_ids=ldt.instance_ids[mask],
             labels=ldt.labels[mask],
             n_classes=ldt.n_classes,
             columns=[c.take(mask) for c in ldt.columns],
             frontier=ldt.frontier,
-            instantiations={p: inst.restrict(ids) for p, inst in ldt.instantiations.items()},
         )
 
     return child(left), child(right)

@@ -27,6 +27,9 @@ class LearnParams:
     domsize_rel: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("min_ig", "max_depth"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, not NaN")
         if self.min_inst < 1:
             raise ValueError("min_inst must be >= 1")
         if not 0.0 <= self.domsize_rel <= 1.0:

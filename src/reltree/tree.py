@@ -252,7 +252,7 @@ def _clears(found: tuple[SplitTest, float] | None, params: LearnParams) -> bool:
     return found is not None and found[1] > params.min_ig
 
 
-def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, used: frozenset, extendable: bool) -> TreeNode:
+def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, used: frozenset) -> TreeNode:
     if depth >= params.max_depth or len(ldt) < params.min_inst:
         return _leaf(ldt)
     # A split's gain never exceeds the node entropy, so when that bound
@@ -260,7 +260,7 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, us
     if entropy(np.bincount(ldt.labels, minlength=ldt.n_classes)) <= params.min_ig:
         return _leaf(ldt)
     found = best_split(ldt, params)
-    if extendable and not _clears(found, params):
+    if not _clears(found, params):
         extended = extend_ldt(db, ldt, params, used)
         if extended is not None:
             ldt = extended
@@ -273,8 +273,8 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, us
     return InnerNode(
         test=test,
         ig=ig,
-        left=_grow(db, left, params, depth + 1, used2, extendable),
-        right=_grow(db, right, params, depth + 1, used2, extendable),
+        left=_grow(db, left, params, depth + 1, used2),
+        right=_grow(db, right, params, depth + 1, used2),
     )
 
 
@@ -307,7 +307,7 @@ def model_from_root(db: Database, root: TreeNode, params: LearnParams, mode: str
 def grow_tree(db: Database, params: LearnParams, instance_ids=None) -> TreeModel:
     """Learn a tree lazily over the database (optionally on an instance subset)."""
     ldt = build_root_ldt(db, params, instance_ids)
-    root = _grow(db, ldt, params, depth=0, used=frozenset(), extendable=True)
+    root = _grow(db, ldt, params, depth=0, used=frozenset())
     return model_from_root(db, root, params, mode=f"lazy-{params.strategy}")
 
 

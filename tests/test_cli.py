@@ -161,3 +161,24 @@ def test_non_finite_number_exits_one_without_traceback(school_paths, tmp_path, c
     err = capsys.readouterr().err
     assert err.strip() == "error: table Student column grade row 1: not finite: 'nan'"
     assert run(argv + ["--missing-token", "nan"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--min-ig", "--max-depth"])
+def test_nan_learn_param_exits_one(school_paths, tmp_path, capsys, flag):
+    model_path = tmp_path / "m.json"
+    argv = ["learn", "--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths),
+            flag, "nan", "--out", str(model_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("fields", [{"bogus": 1}, {"n_professors": "x"}, {"n_professors": 2.5}, {"n_movies": True}])
+def test_synth_bad_spec_exits_one_naming_the_file(tmp_path, capsys, fields):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields), encoding="utf-8")
+    assert run(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and len(err.strip().splitlines()) == 1
+    assert next(iter(fields)) in err

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import school_doc, school_rows
+from oracles import random_micro_db
 
 from reltree.features import Agg, FeatureColumn, FeatureDescriptor
 from reltree.joinpath import JoinPath, initial_paths
@@ -44,7 +48,7 @@ def test_root_ldt_with_no_paths_and_no_attributes_has_no_columns():
     db = build_database(catalog_from_dict(doc), {"T": [{"id": "1", "y": "a"}, {"id": "2", "y": "b"}]})
     ldt = build_root_ldt(db, RESTRICTED)
     assert ldt.columns == []
-    assert ldt.frontier == ()
+    assert ldt.frontier == {}
 
 
 def test_extend_restricted_uses_ancestor_paths(school_db, school_catalog):
@@ -69,10 +73,10 @@ def test_second_extension_differs_by_strategy(school_db, school_catalog):
     assert extend_ldt(school_db, once, RESTRICTED, used_paths=frozenset()) is None
     again = extend_ldt(school_db, once, UNRESTRICTED, used_paths=frozenset())
     assert again is not None
-    assert again.frontier == ()  # student has no deeper neighbors
+    assert again.frontier == {}  # student has no deeper neighbors
     assert len(again.columns) == len(once.columns)
     # with the deep path used by an ancestor, restricted extends it too
-    deep = once.frontier[0]
+    deep = next(iter(once.frontier))
     assert extend_ldt(school_db, once, RESTRICTED, used_paths=frozenset({deep})) is not None
 
 
@@ -80,7 +84,7 @@ def test_extend_on_empty_frontier_is_inextensible(school_db):
     ldt = build_root_ldt(school_db, UNRESTRICTED)
     once = extend_ldt(school_db, ldt, UNRESTRICTED, used_paths=frozenset())
     twice = extend_ldt(school_db, once, UNRESTRICTED, used_paths=frozenset())
-    assert twice.frontier == ()
+    assert twice.frontier == {}
     assert extend_ldt(school_db, twice, UNRESTRICTED, used_paths=frozenset()) is None
 
 
@@ -125,8 +129,7 @@ def _tiny_ldt(cells, labels, kind="boolean", dictionary=None):
         labels=np.array(labels, dtype=np.int64),
         n_classes=int(max(labels)) + 1,
         columns=[col],
-        frontier=(),
-        instantiations={},
+        frontier={},
     )
 
 
@@ -153,14 +156,96 @@ def test_partition_rejects_one_sided_split():
         partition_ldt(ldt, test)
 
 
-def test_children_inherit_restricted_instantiations(school_db, school_catalog):
+def test_partition_children_share_the_frontier_map(school_db, school_catalog):
     ldt = build_root_ldt(school_db, RESTRICTED)
-    course = initial_paths(school_catalog)[0]
     test = SplitTest(
-        descriptor=FeatureDescriptor(path=course, attribute=None, agg=Agg.IS_EMPTY),
+        descriptor=FeatureDescriptor(path=initial_paths(school_catalog)[0], attribute=None, agg=Agg.IS_EMPTY),
         kind="boolean_true",
     )
     left, right = partition_ldt(ldt, test)
-    inst = right.instantiations[course]
-    assert list(inst.instance_ids) == [0, 1]
-    assert inst.bag_sizes().sum() == 3  # lupin's two courses + snape's one
+    assert left.frontier is ldt.frontier and right.frontier is ldt.frontier
+    # the shared joins still cover the parent's four instances
+    assert all(inst.n_instances == 4 for inst in right.frontier.values())
+
+
+def _random_test(column: FeatureColumn, data) -> SplitTest | None:
+    route = data.draw(st.sampled_from(["pass", "fail"]), label="route")
+    if column.kind == "boolean":
+        return SplitTest(descriptor=column.descriptor, kind="boolean_true", undefined_route=route)
+    if column.kind == "numeric":
+        present = sorted(set(column.values[column.defined].tolist()))
+        if not present:
+            return None
+        threshold = data.draw(st.sampled_from(present), label="threshold")
+        return SplitTest(descriptor=column.descriptor, kind="numeric_le", threshold=threshold, undefined_route=route)
+    if not column.dictionary:
+        return None
+    value = data.draw(st.sampled_from(column.dictionary), label="value")
+    return SplitTest(descriptor=column.descriptor, kind="categorical_eq", value=value, undefined_route=route)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=st.one_of(st.just("school"), st.integers(0, 100_000)),
+    strategy=st.sampled_from(["restricted", "unrestricted"]),
+    data=st.data(),
+)
+def test_extending_a_partitioned_node_matches_a_fresh_root(source, strategy, data):
+    """A node extends from its ancestors' joins exactly as a root built over its own rows would."""
+    if source == "school":
+        doc, tables = school_doc(), school_rows()
+    else:
+        doc, tables = random_micro_db(source)
+    db = build_database(catalog_from_dict(doc), tables)
+    params = LearnParams(strategy=strategy)
+    try:
+        node = build_root_ldt(db, params)
+    except DataError:
+        assume(False)
+
+    used: frozenset = frozenset()
+    history: list[frozenset] = []  # used paths of each extension on the branch
+    partitioned = False
+    steps = data.draw(st.lists(st.sampled_from(["extend", "split"]), max_size=5), label="steps") + ["split"]
+    for step in steps:
+        if step == "extend":
+            extended = extend_ldt(db, node, params, used)
+            if extended is not None:
+                history.append(used)
+                node = extended
+            continue
+        if not node.columns:
+            continue
+        test = _random_test(data.draw(st.sampled_from(node.columns), label="column"), data)
+        if test is None:
+            continue
+        try:
+            left, right = partition_ldt(node, test)
+        except InvalidSplitError:
+            continue
+        node = data.draw(st.sampled_from([left, right]), label="side")
+        used |= {test.descriptor.path}
+        partitioned = True
+    assume(partitioned)
+
+    fresh = build_root_ldt(db, params, node.instance_ids)
+    for ancestor_used in history:
+        fresh = extend_ldt(db, fresh, params, ancestor_used)
+    assert list(fresh.frontier) == list(node.frontier)
+
+    with db.stats.measure() as got_stats:
+        got = extend_ldt(db, node, params, used)
+    with db.stats.measure() as want_stats:
+        want = extend_ldt(db, fresh, params, used)
+    assert got_stats.lookups_by_depth == want_stats.lookups_by_depth
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert list(got.frontier) == list(want.frontier)
+    added = got.columns[len(node.columns):]
+    expected = want.columns[len(fresh.columns):]
+    assert [c.descriptor for c in added] == [c.descriptor for c in expected]
+    for a, b in zip(added, expected):
+        assert a.kind == b.kind and a.dictionary == b.dictionary
+        assert np.array_equal(a.defined, b.defined)
+        assert a.values[a.defined].tobytes() == b.values[b.defined].tobytes()

@@ -62,8 +62,7 @@ def _ldt_from_columns(specs, labels):
         labels=np.array(labels, dtype=np.int64),
         n_classes=int(max(labels)) + 1,
         columns=columns,
-        frontier=(),
-        instantiations={},
+        frontier={},
     )
 
 
@@ -285,6 +284,22 @@ def test_deserialize_rejects_params_missing_a_field():
     del doc["params"]["min_ig"]
     with pytest.raises(ModelFormatError, match="min_ig"):
         deserialize_model(json.dumps(doc))
+
+
+def test_learn_params_reject_nan():
+    for field in ("min_ig", "max_depth"):
+        with pytest.raises(ValueError, match=field):
+            LearnParams(**{field: float("nan")})
+
+
+def test_deserialize_rejects_nan_params():
+    data = generate_school_db(31, SchoolSpec(n_professors=40))
+    doc = json.loads(serialize_model(grow_tree(data.db, PARAMS)))
+    for field in ("min_ig", "max_depth"):
+        bad = json.loads(json.dumps(doc))
+        bad["params"][field] = float("nan")
+        with pytest.raises(ModelFormatError, match=field):
+            deserialize_model(json.dumps(bad))
 
 
 def test_gain_bounds_on_random_ldts():
