@@ -198,14 +198,17 @@ def _cmd_cv(args) -> int:
 def _cmd_synth(args) -> int:
     spec = SchoolSpec()
     if args.spec:
-        overrides = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        try:
+            overrides = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{args.spec}: not valid JSON: {exc}") from None
         if not isinstance(overrides, dict):
             raise DataError(f"{args.spec}: generator spec must be a JSON object")
         unknown = sorted(set(overrides) - {f.name for f in fields(SchoolSpec)})
         if unknown:
             raise DataError(f"{args.spec}: unknown generator spec field(s): {', '.join(unknown)}")
         try:
-            if "genres" in overrides:
+            if isinstance(overrides.get("genres"), list):
                 overrides["genres"] = tuple(overrides["genres"])
             spec = SchoolSpec(**overrides)
         except (TypeError, ValueError) as exc:

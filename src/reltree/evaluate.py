@@ -10,6 +10,7 @@ genre of the professor's movie (a determinate, depth-1 feature).
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, replace
@@ -238,12 +239,27 @@ class SchoolSpec:
             raise ValueError("sizes must be >= 0")
         if self.courses_per_professor == 0 and self.enrollments_per_course > 0:
             raise ValueError("cannot enroll students without courses")
+        for name in ("grade_low", "grade_high", "grade_step", "threshold", "label_noise", "p_no_courses", "p_no_movie"):
+            value = getattr(self, name)
+            if name == "threshold" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
+        if not self.grade_low < self.grade_high:
+            raise ValueError("grade_low must be below grade_high")
+        if self.grade_step < 0:
+            raise ValueError("grade_step must be >= 0")
+        for name in ("label_noise", "p_no_courses", "p_no_movie"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1]")
+        if not isinstance(self.genres, tuple) or not self.genres or not all(isinstance(g, str) for g in self.genres):
+            raise ValueError(f"genres must be a non-empty list of strings, not {self.genres!r}")
         if self.rule not in (RULE_AVG_GRADE, RULE_MOVIE_GENRE):
             raise ValueError(f"unknown rule {self.rule!r}")
+        if not isinstance(self.target_genre, str):
+            raise ValueError(f"target_genre must be a string, not {self.target_genre!r}")
         if self.rule == RULE_MOVIE_GENRE and self.target_genre not in self.genres:
             raise ValueError(f"target genre {self.target_genre!r} not in genres")
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise ValueError("label_noise must be within [0, 1]")
 
 
 def school_schema_doc() -> dict:

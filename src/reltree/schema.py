@@ -284,8 +284,16 @@ def load_schema(path) -> SchemaCatalog:
     except OSError as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise SchemaError(f"cannot parse schema file {path}: {exc}") from exc
+        raise SchemaError(f"cannot parse schema file {path}: {_yaml_problem(exc)}") from exc
     return catalog_from_dict(doc, source=str(path))
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line for a YAML error: where it was found and what is wrong."""
+    mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+    if mark is None or problem is None:
+        return " ".join(str(exc).split())
+    return f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
 
 
 def table_depths(catalog: SchemaCatalog) -> dict[str, int]:

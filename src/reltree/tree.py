@@ -5,7 +5,9 @@ distinct defined values, one equality test per categorical value present, and
 the true-test for boolean features.  Each candidate induces a ternary
 pass/fail/undefined partition; the undefined rows are merged into whichever
 side scores the higher gain (ties go to fail) and the node remembers that
-routing so prediction can follow it.
+routing so prediction can follow it.  A node's split search builds each
+column's candidates as rows of class counts, then scores all of them with one
+vectorized pass and picks the winner with one ``argmax``.
 
 Growth follows the lazy scheme: try to split on the columns at hand, and only
 when no test clears the gain threshold extend the node's table with features
@@ -61,12 +63,11 @@ def entropy(counts) -> float:
 
 
 def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    totals = counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(totals > 0, counts / totals, 0.0)
+    # An all-zero row divides by 1, so its p is 0 and its entropy 0.
+    p = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0)
-    return -(p * logs).sum(axis=1)
+    return -np.multiply(p, logs, out=logs).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,14 @@ class SplitTest:
 
 
 def _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent):
-    """Gain of each candidate under both undefined routings.
+    """Gain of each candidate row under both undefined routings.
 
-    Returns (ig, route_is_pass); candidates where neither routing yields two
-    nonempty sides score -inf.
+    Row ``i`` counts, per class, the defined instances that pass and fail
+    candidate ``i`` and the instances it leaves undefined.  Returns (ig,
+    route_is_pass); candidates where neither routing yields two nonempty
+    sides score -inf.  Entropy is computed row by row, so a row's gain does
+    not depend on the other rows scored with it.
     """
-    undef = undef_counts[None, :].astype(np.float64)
 
     def ig_of(left, right):
         nl = left.sum(axis=1)
@@ -93,110 +96,99 @@ def _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent):
         h = h_parent - (nl * _entropy_rows(left) + nr * _entropy_rows(right)) / n
         return np.where((nl > 0) & (nr > 0), h, -np.inf)
 
-    pc = pass_counts.astype(np.float64)
-    fc = fail_counts.astype(np.float64)
-    ig_fail = ig_of(pc, fc + undef)
-    ig_pass = ig_of(pc + undef, fc)
+    ig_fail = ig_of(pass_counts, fail_counts + undef_counts)
+    ig_pass = ig_of(pass_counts + undef_counts, fail_counts)
     route_is_pass = ig_pass > ig_fail  # ties routed to fail
     return np.where(route_is_pass, ig_pass, ig_fail), route_is_pass
 
 
-def _best_on_column(col: FeatureColumn, labels: np.ndarray, n_classes: int, n: int, h_parent: float):
+def _column_candidates(col: FeatureColumn, labels: np.ndarray, parent: np.ndarray):
+    """One column's candidate tests as rows: (pass_counts, undef_counts, keys), or None.
+
+    ``keys[i]`` is row ``i``'s threshold (numeric, ascending) or value code
+    (categorical, ascending); a boolean column has the one row of its
+    true-test and no keys.  ``undef_counts`` is the column's one row of
+    undefined-instance class counts; the fail counts of a row are ``parent -
+    undef_counts - pass_counts``.
+    """
     defined = col.defined
-    undef_counts = np.bincount(labels[~defined], minlength=n_classes)
     d_idx = np.nonzero(defined)[0]
     if d_idx.size == 0:
         return None
+    n_classes = len(parent)
+    undef_counts = np.bincount(labels[~defined], minlength=n_classes)
     d_labels = labels[d_idx]
-    total_def = np.bincount(d_labels, minlength=n_classes)
 
     if col.kind == NUMERIC:
         vals = col.values[d_idx]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
-        sl = d_labels[order]
         boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
         if boundaries.size == 0:
             return None
-        onehot = np.zeros((len(sl), n_classes), dtype=np.int64)
-        onehot[np.arange(len(sl)), sl] = 1
-        cum = np.cumsum(onehot, axis=0)
-        pass_counts = cum[boundaries]
-        fail_counts = total_def[None, :] - pass_counts
+        onehot = np.zeros((len(sv), n_classes), dtype=np.int64)
+        onehot[np.arange(len(sv)), d_labels[order]] = 1
+        pass_counts = np.cumsum(onehot, axis=0)[boundaries]
         thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
         # A midpoint of two adjacent floats can round up onto the larger
         # value; keep `v <= threshold` equivalent to the positional split.
         rounded_up = thresholds >= sv[boundaries + 1]
         thresholds[rounded_up] = sv[boundaries][rounded_up]
-        ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent)
-        i = int(np.argmax(ig))
-        if not np.isfinite(ig[i]):
-            return None
-        test = SplitTest(
-            descriptor=col.descriptor,
-            kind="numeric_le",
-            threshold=float(thresholds[i]),
-            undefined_route="pass" if route_pass[i] else "fail",
-        )
-        return float(ig[i]), test
+        return pass_counts, undef_counts, thresholds
 
     if col.kind == BOOLEAN:
         truthy = col.values.astype(bool)[d_idx]
-        pass_counts = np.bincount(d_labels[truthy], minlength=n_classes)[None, :]
-        fail_counts = total_def[None, :] - pass_counts
-        ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent)
-        if not np.isfinite(ig[0]):
-            return None
-        test = SplitTest(
-            descriptor=col.descriptor,
-            kind="boolean_true",
-            undefined_route="pass" if route_pass[0] else "fail",
-        )
-        return float(ig[0]), test
+        return np.bincount(d_labels[truthy], minlength=n_classes)[None, :], undef_counts, None
 
     # categorical: one one-vs-rest equality test per value present
-    codes = col.values[d_idx].astype(np.int64)
     k = len(col.dictionary or ())
     if k == 0:
         return None
+    codes = col.values[d_idx].astype(np.int64)
     present = np.unique(codes)
     counts_by_code = np.bincount(codes * n_classes + d_labels, minlength=k * n_classes).reshape(k, n_classes)
-    pass_counts = counts_by_code[present]
-    fail_counts = total_def[None, :] - pass_counts
-    ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent)
-    i = int(np.argmax(ig))
-    if not np.isfinite(ig[i]):
-        return None
-    code = int(present[i])
-    test = SplitTest(
-        descriptor=col.descriptor,
-        kind="categorical_eq",
-        value=col.dictionary[code],
-        value_code=code,
-        undefined_route="pass" if route_pass[i] else "fail",
-    )
-    return float(ig[i]), test
+    return counts_by_code[present], undef_counts, present
 
 
 def best_split(ldt: LocalDataTable, params: LearnParams) -> tuple[SplitTest, float] | None:
     """Highest-gain valid test over the LDT's columns, or None.
 
-    Gain ties between tests break by descriptor order, then by lower
-    threshold / value code.
+    Every candidate of every column is scored in one pass: the columns'
+    candidate rows are stacked in descriptor order, each column's by
+    ascending threshold or value code, and the first row of highest gain
+    wins.  So gain ties between tests break by descriptor order, then by
+    lower threshold / value code.
     """
     n = len(ldt)
     parent = np.bincount(ldt.labels, minlength=ldt.n_classes)
-    h_parent = entropy(parent)
-    best: tuple[float, SplitTest] | None = None
+    found = []
     for col in sorted(ldt.columns, key=lambda c: c.descriptor.sort_key()):
-        found = _best_on_column(col, ldt.labels, ldt.n_classes, n, h_parent)
-        if found is None:
-            continue
-        if best is None or found[0] > best[0]:
-            best = found
-    if best is None:
+        candidates = _column_candidates(col, ldt.labels, parent)
+        if candidates is not None:
+            found.append((col, *candidates))
+    if not found:
         return None
-    return best[1], best[0]
+    sizes = [len(pass_counts) for _, pass_counts, _, _ in found]
+    pass_counts = np.concatenate([pass_counts for _, pass_counts, _, _ in found])
+    undef_counts = np.repeat(np.stack([undef for _, _, undef, _ in found]), sizes, axis=0)
+    fail_counts = parent - undef_counts - pass_counts
+    ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, entropy(parent))
+    i = int(np.argmax(ig))
+    if not np.isfinite(ig[i]):
+        return None
+    starts = np.cumsum(sizes) - sizes
+    c = int(np.searchsorted(starts, i, side="right")) - 1
+    col, _, _, keys = found[c]
+    route = "pass" if route_pass[i] else "fail"
+    if col.kind == BOOLEAN:
+        test = SplitTest(col.descriptor, "boolean_true", undefined_route=route)
+    elif col.kind == NUMERIC:
+        test = SplitTest(col.descriptor, "numeric_le", threshold=float(keys[i - starts[c]]), undefined_route=route)
+    else:
+        code = int(keys[i - starts[c]])
+        test = SplitTest(col.descriptor, "categorical_eq", value=col.dictionary[code], value_code=code,
+                         undefined_route=route)
+    return test, float(ig[i])
 
 
 @dataclass(frozen=True)
@@ -534,36 +526,39 @@ def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
 _AGG_BY_NAME = {name: agg for agg, name in AGG_NAMES.items()}
 
 
+_HOP_FIELDS = ("from_table", "from_column", "to_table", "to_column", "label", "many_to_one")
+_TEST_FIELDS = ("kind", "threshold", "value", "value_code", "undefined_route")
+
+
 def _path_doc(path: JoinPath) -> dict:
-    return {
-        "start": path.start,
-        "hops": [
-            {
-                "from_table": h.from_table,
-                "from_column": h.from_column,
-                "to_table": h.to_table,
-                "to_column": h.to_column,
-                "label": h.label,
-                "many_to_one": h.many_to_one,
-            }
-            for h in path.hops
-        ],
-    }
+    return {"start": path.start, "hops": [{k: getattr(h, k) for k in _HOP_FIELDS} for h in path.hops]}
 
 
-def _path_from_doc(doc: dict) -> JoinPath:
-    hops = tuple(
-        Hop(
-            from_table=h["from_table"],
-            from_column=h["from_column"],
-            to_table=h["to_table"],
-            to_column=h["to_column"],
-            label=h["label"],
-            many_to_one=bool(h["many_to_one"]),
-        )
-        for h in doc["hops"]
-    )
-    return JoinPath(start=doc["start"], hops=hops, determinate=all(h.many_to_one for h in hops))
+def _get(obj, key: str, where: str):
+    """``obj[key]`` of the model document's object at field path ``where`` ("" for the top level)."""
+    at = f"{where}: " if where else ""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"invalid model document: {at}expected an object, not {type(obj).__name__}")
+    if key not in obj:
+        raise ModelFormatError(f"invalid model document: {at}missing {key!r}")
+    return obj[key]
+
+
+def _path_from_doc(doc: dict, where: str) -> JoinPath:
+    hops = []
+    for i, h in enumerate(_get(doc, "hops", where)):
+        hop = {k: _get(h, k, f"{where}.hops[{i}]") for k in _HOP_FIELDS}
+        hops.append(Hop(**{**hop, "many_to_one": bool(hop["many_to_one"])}))
+    return JoinPath(start=_get(doc, "start", where), hops=tuple(hops), determinate=all(h.many_to_one for h in hops))
+
+
+def _descriptor_from_doc(doc: dict, where: str) -> FeatureDescriptor:
+    agg = _get(doc, "agg", where)
+    if agg not in _AGG_BY_NAME:
+        raise ModelFormatError(f"invalid model document: {where}.agg: unknown aggregator {agg!r}")
+    path = _path_from_doc(_get(doc, "path", where), f"{where}.path")
+    return FeatureDescriptor(path=path, attribute=_get(doc, "attribute", where), agg=_AGG_BY_NAME[agg],
+                             value=_get(doc, "value", where))
 
 
 def _node_doc(node: TreeNode, desc_index: dict[FeatureDescriptor, int]) -> dict:
@@ -573,38 +568,30 @@ def _node_doc(node: TreeNode, desc_index: dict[FeatureDescriptor, int]) -> dict:
     return {
         "type": "inner",
         "ig": node.ig,
-        "test": {
-            "descriptor": desc_index[t.descriptor],
-            "kind": t.kind,
-            "threshold": t.threshold,
-            "value": t.value,
-            "value_code": t.value_code,
-            "undefined_route": t.undefined_route,
-        },
+        "test": {"descriptor": desc_index[t.descriptor], **{k: getattr(t, k) for k in _TEST_FIELDS}},
         "left": _node_doc(node.left, desc_index),
         "right": _node_doc(node.right, desc_index),
     }
 
 
-def _node_from_doc(doc: dict, descriptors: tuple[FeatureDescriptor, ...]) -> TreeNode:
-    if doc["type"] == "leaf":
-        return LeafNode(counts=tuple(int(c) for c in doc["counts"]), prediction=int(doc["prediction"]))
-    if doc["type"] != "inner":
-        raise ModelFormatError(f"unknown node type {doc['type']!r}")
-    t = doc["test"]
-    test = SplitTest(
-        descriptor=descriptors[int(t["descriptor"])],
-        kind=t["kind"],
-        threshold=t["threshold"],
-        value=t["value"],
-        value_code=t["value_code"],
-        undefined_route=t["undefined_route"],
-    )
+def _node_from_doc(doc: dict, descriptors: tuple[FeatureDescriptor, ...], where: str) -> TreeNode:
+    kind = _get(doc, "type", where)
+    if kind == "leaf":
+        counts = tuple(int(c) for c in _get(doc, "counts", where))
+        return LeafNode(counts=counts, prediction=int(_get(doc, "prediction", where)))
+    if kind != "inner":
+        raise ModelFormatError(f"invalid model document: {where}.type: unknown node type {kind!r}")
+    t = _get(doc, "test", where)
+    at = f"{where}.test"
+    index = _get(t, "descriptor", at)
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(descriptors):
+        raise ModelFormatError(f"invalid model document: {at}.descriptor: no descriptor {index!r}")
+    test = SplitTest(descriptor=descriptors[index], **{k: _get(t, k, at) for k in _TEST_FIELDS})
     return InnerNode(
         test=test,
-        ig=float(doc["ig"]),
-        left=_node_from_doc(doc["left"], descriptors),
-        right=_node_from_doc(doc["right"], descriptors),
+        ig=float(_get(doc, "ig", where)),
+        left=_node_from_doc(_get(doc, "left", where), descriptors, f"{where}.left"),
+        right=_node_from_doc(_get(doc, "right", where), descriptors, f"{where}.right"),
     )
 
 
@@ -636,35 +623,28 @@ def serialize_model(model: TreeModel) -> str:
 def deserialize_model(document: str) -> TreeModel:
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a model document")
     if doc.get("version") not in _READABLE_VERSIONS:
         raise ModelFormatError(f"unsupported model version {doc.get('version')!r}")
     try:
-        pd = {f.name: doc["params"][f.name] for f in fields(LearnParams)}
+        pd = {f.name: _get(_get(doc, "params", ""), f.name, "params") for f in fields(LearnParams)}
         pd["max_depth"] = math.inf if pd["max_depth"] is None else float(pd["max_depth"])
         params = LearnParams(**pd)
         descriptors = tuple(
-            FeatureDescriptor(
-                path=_path_from_doc(d["path"]),
-                attribute=d["attribute"],
-                agg=_AGG_BY_NAME[d["agg"]],
-                value=d["value"],
-            )
-            for d in doc["descriptors"]
+            _descriptor_from_doc(d, f"descriptors[{i}]") for i, d in enumerate(_get(doc, "descriptors", ""))
         )
-        root = _node_from_doc(doc["root"], descriptors)
         return TreeModel(
-            root=root,
+            root=_node_from_doc(_get(doc, "root", ""), descriptors, "root"),
             params=params,
-            mode=doc["mode"],
-            class_labels=tuple(doc["class_labels"]),
-            schema_fingerprint=doc["schema_fingerprint"],
+            mode=_get(doc, "mode", ""),
+            class_labels=tuple(_get(doc, "class_labels", "")),
+            schema_fingerprint=_get(doc, "schema_fingerprint", ""),
             descriptors=descriptors,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
-        raise ModelFormatError(f"invalid model document: {exc!r}") from exc
+        raise ModelFormatError(f"invalid model document: {exc}") from exc

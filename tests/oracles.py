@@ -6,7 +6,8 @@ of one multiset, recursive path enumeration, a brute-force split evaluator,
 a row-at-a-time database builder and a row-at-a-time router.  Only the router
 reads the package's loaded database, one cell at a time, and only the builder
 builds one (with the package's key index); none of it uses the vectorized
-code paths.
+code paths.  The one exception is ``per_column_best_split``, the split search
+that the engine's one-pass search replaced, kept for a differential test.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reltree.features import Agg
+from reltree.features import BOOLEAN, NUMERIC, Agg
 from reltree.schema import KIND_CATEGORICAL, KIND_FOREIGN_KEY, KIND_NUMERIC, KIND_PRIMARY_KEY
 from reltree.storage import (
     CategoricalColumn,
@@ -31,6 +32,8 @@ from reltree.storage import (
     NumericColumn,
     TableData,
 )
+from reltree.tree import SplitTest
+from reltree.tree import entropy as tree_entropy
 
 MISSING_TOKENS = ("", "?")
 
@@ -480,6 +483,111 @@ def exhaustive_split(columns, labels):
                 best = ig
                 best_key = (name, kind_name, param, route)
     return best, best_key, gains
+
+
+# ---------------------------------------------------------------------------
+# Per-column split search: the engine's split search before it scored all of
+# a node's candidates in one pass.  It scores one column at a time and keeps a
+# column's best test only when it beats every earlier column's strictly.
+
+
+def _entropy_rows(counts):
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(totals > 0, counts / totals, 0.0)
+    logs = np.zeros_like(p)
+    np.log2(p, out=logs, where=p > 0)
+    return -(p * logs).sum(axis=1)
+
+
+def _score_column(pass_counts, fail_counts, undef_counts, n, h_parent):
+    undef = undef_counts[None, :].astype(np.float64)
+
+    def ig_of(left, right):
+        nl = left.sum(axis=1)
+        nr = right.sum(axis=1)
+        h = h_parent - (nl * _entropy_rows(left) + nr * _entropy_rows(right)) / n
+        return np.where((nl > 0) & (nr > 0), h, -np.inf)
+
+    pc = pass_counts.astype(np.float64)
+    fc = fail_counts.astype(np.float64)
+    ig_fail = ig_of(pc, fc + undef)
+    ig_pass = ig_of(pc + undef, fc)
+    route_is_pass = ig_pass > ig_fail  # ties routed to fail
+    return np.where(route_is_pass, ig_pass, ig_fail), route_is_pass
+
+
+def _best_on_column(col, labels, n_classes, n, h_parent):
+    defined = col.defined
+    undef_counts = np.bincount(labels[~defined], minlength=n_classes)
+    d_idx = np.nonzero(defined)[0]
+    if d_idx.size == 0:
+        return None
+    d_labels = labels[d_idx]
+    total_def = np.bincount(d_labels, minlength=n_classes)
+
+    if col.kind == NUMERIC:
+        vals = col.values[d_idx]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sl = d_labels[order]
+        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
+        if boundaries.size == 0:
+            return None
+        onehot = np.zeros((len(sl), n_classes), dtype=np.int64)
+        onehot[np.arange(len(sl)), sl] = 1
+        cum = np.cumsum(onehot, axis=0)
+        pass_counts = cum[boundaries]
+        fail_counts = total_def[None, :] - pass_counts
+        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
+        rounded_up = thresholds >= sv[boundaries + 1]
+        thresholds[rounded_up] = sv[boundaries][rounded_up]
+        ig, route_pass = _score_column(pass_counts, fail_counts, undef_counts, n, h_parent)
+        i = int(np.argmax(ig))
+        if not np.isfinite(ig[i]):
+            return None
+        route = "pass" if route_pass[i] else "fail"
+        return float(ig[i]), SplitTest(col.descriptor, "numeric_le", threshold=float(thresholds[i]), undefined_route=route)
+
+    if col.kind == BOOLEAN:
+        truthy = col.values.astype(bool)[d_idx]
+        pass_counts = np.bincount(d_labels[truthy], minlength=n_classes)[None, :]
+        fail_counts = total_def[None, :] - pass_counts
+        ig, route_pass = _score_column(pass_counts, fail_counts, undef_counts, n, h_parent)
+        if not np.isfinite(ig[0]):
+            return None
+        return float(ig[0]), SplitTest(col.descriptor, "boolean_true", undefined_route="pass" if route_pass[0] else "fail")
+
+    codes = col.values[d_idx].astype(np.int64)
+    k = len(col.dictionary or ())
+    if k == 0:
+        return None
+    present = np.unique(codes)
+    counts_by_code = np.bincount(codes * n_classes + d_labels, minlength=k * n_classes).reshape(k, n_classes)
+    pass_counts = counts_by_code[present]
+    fail_counts = total_def[None, :] - pass_counts
+    ig, route_pass = _score_column(pass_counts, fail_counts, undef_counts, n, h_parent)
+    i = int(np.argmax(ig))
+    if not np.isfinite(ig[i]):
+        return None
+    code = int(present[i])
+    route = "pass" if route_pass[i] else "fail"
+    return float(ig[i]), SplitTest(
+        col.descriptor, "categorical_eq", value=col.dictionary[code], value_code=code, undefined_route=route
+    )
+
+
+def per_column_best_split(ldt):
+    """(SplitTest, gain) of the best test over ``ldt``'s columns, or None, one column at a time."""
+    n = len(ldt)
+    parent = np.bincount(ldt.labels, minlength=ldt.n_classes)
+    h_parent = tree_entropy(parent)
+    best = None
+    for col in sorted(ldt.columns, key=lambda c: c.descriptor.sort_key()):
+        found = _best_on_column(col, ldt.labels, ldt.n_classes, n, h_parent)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = found
+    return None if best is None else (best[1], best[0])
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,17 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+def test_yaml_parse_error_is_one_line(tmp_path, capsys):
+    bad = tmp_path / "schema.yaml"
+    bad.write_text("tables:\n  - name: [unclosed", encoding="utf-8")
+    code = run(["learn", "--schema", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: cannot parse schema file {bad}: line 2, column 20: expected ',' or ']', but got '<stream end>'"
+    ]
+
+
 def test_synth_with_spec_override(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n_professors": 25, "rule": "movie_genre"}), encoding="utf-8")
@@ -174,7 +185,11 @@ def test_nan_learn_param_exits_one(school_paths, tmp_path, capsys, flag):
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize("fields", [{"bogus": 1}, {"n_professors": "x"}, {"n_professors": 2.5}, {"n_movies": True}])
+@pytest.mark.parametrize("fields", [
+    {"bogus": 1}, {"n_professors": "x"}, {"n_professors": 2.5}, {"n_movies": True},
+    {"grade_low": "x"}, {"threshold": "x"}, {"p_no_movie": "x"}, {"genres": []},
+    {"genres": "drama"}, {"grade_low": 100.0}, {"label_noise": float("nan")}, {"p_no_courses": 1.5},
+])
 def test_synth_bad_spec_exits_one_naming_the_file(tmp_path, capsys, fields):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(fields), encoding="utf-8")
@@ -182,3 +197,11 @@ def test_synth_bad_spec_exits_one_naming_the_file(tmp_path, capsys, fields):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {spec}: ") and len(err.strip().splitlines()) == 1
     assert next(iter(fields)) in err
+
+
+def test_synth_malformed_spec_exits_one_naming_the_file(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_professors": ', encoding="utf-8")
+    assert run(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: not valid JSON") and len(err.strip().splitlines()) == 1

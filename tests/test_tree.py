@@ -1,14 +1,16 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_split
+from oracles import exhaustive_split, per_column_best_split
 
 from reltree.eager import propositionalize
 from reltree.evaluate import SchoolSpec, generate_school_db
-from reltree.features import Agg, FeatureColumn, FeatureDescriptor
+from reltree.features import BOOLEAN, CATEGORICAL, NUMERIC, Agg, FeatureColumn, FeatureDescriptor
 from reltree.joinpath import JoinPath
 from reltree.ldt import LocalDataTable
 from reltree.params import LearnParams
@@ -95,6 +97,75 @@ def test_best_split_ties_break_by_descriptor_order():
     ldt = _ldt_from_columns([("numeric", cells, None), ("numeric", cells, None)], [0, 0, 1, 1])
     test, _ = best_split(ldt, PARAMS)
     assert test.descriptor.attribute == "a0"
+
+
+def test_best_split_ties_inside_a_column_go_to_the_lower_threshold():
+    # Thresholds 1.5 and 3.5 each cut one class-0 row off a {0, 1, 1, 0} node.
+    ldt = _ldt_from_columns([("numeric", [1.0, 2.0, 3.0, 4.0], None)], [0, 1, 1, 0])
+    test, ig = best_split(ldt, PARAMS)
+    _, _, gains = exhaustive_split([("a0", "numeric", [1.0, 2.0, 3.0, 4.0], None)], [0, 1, 1, 0])
+    assert gains[("a0", "numeric_le", 1.5, "fail")] == gains[("a0", "numeric_le", 3.5, "fail")] == ig
+    assert test.threshold == 1.5
+
+
+# Values with repeats, and two adjacent floats whose midpoint rounds up.
+_GRID = (0.0, 1.0, float(np.nextafter(1.0, 2.0)), 2.5, 3.0, -4.0)
+
+
+@st.composite
+def _split_search_ldts(draw):
+    """LDTs of every column shape the split search distinguishes."""
+    n = draw(st.integers(2, 40))
+    n_classes = draw(st.sampled_from([2, 3]))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    defined_cells = st.lists(st.booleans(), min_size=n, max_size=n)
+    columns = []
+    for i in range(draw(st.integers(1, 7))):
+        shape = draw(st.sampled_from(
+            ["numeric", "numeric", "boolean", "categorical", "undefined", "constant", "no_dictionary", "duplicate"]
+        ))
+        if shape == "duplicate" and columns:  # the same cells under a later name: ties across columns
+            source = draw(st.sampled_from(columns))
+            kind, values, defined, dictionary = source.kind, source.values, source.defined, source.dictionary
+        elif shape in ("numeric", "duplicate"):
+            kind, dictionary = NUMERIC, None
+            values = np.array(draw(st.lists(st.sampled_from(_GRID), min_size=n, max_size=n)))
+            defined = np.array(draw(defined_cells)) | draw(st.booleans())
+        elif shape == "boolean":
+            kind, dictionary = BOOLEAN, None
+            values = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            defined = np.array(draw(defined_cells))
+        elif shape == "categorical":
+            kind, dictionary = CATEGORICAL, ("a", "b", "c", "d")
+            values = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+            defined = np.array(draw(defined_cells))
+            values[~defined] = -1
+        elif shape == "undefined":
+            kind, dictionary = NUMERIC, None
+            values, defined = np.zeros(n), np.zeros(n, dtype=bool)
+        elif shape == "constant":
+            kind, dictionary = NUMERIC, None
+            values, defined = np.full(n, 2.5), np.array(draw(defined_cells))
+        else:  # defined cells but an empty dictionary
+            kind, dictionary = CATEGORICAL, ()
+            values, defined = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+        descriptor = FeatureDescriptor(path=JoinPath(start="T"), attribute=f"a{i}", agg=Agg.IDENTITY)
+        columns.append(FeatureColumn(descriptor, kind, values, defined, dictionary))
+    order = draw(st.permutations(range(len(columns))))
+    return LocalDataTable(
+        instance_ids=np.arange(n, dtype=np.int64),
+        labels=np.array(labels, dtype=np.int64),
+        n_classes=n_classes,
+        columns=[columns[k] for k in order],
+        frontier={},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_search_ldts())
+def test_best_split_equals_the_per_column_search(ldt):
+    """One-pass scoring picks exactly the test and gain of the column-at-a-time search."""
+    assert best_split(ldt, PARAMS) == per_column_best_split(ldt)
 
 
 def _random_oracle_ldt(rnd, max_rows=64, max_features=8):
@@ -262,6 +333,31 @@ def test_deserialize_rejects_bad_documents():
         deserialize_model(doc.replace(f'"version": {MODEL_VERSION}', '"version": 99'))
     with pytest.raises(ModelFormatError):
         deserialize_model("{}")
+
+
+def test_deserialize_names_the_field_path_of_a_missing_key():
+    data = generate_school_db(29, SchoolSpec(n_professors=80, rule="avg_grade", label_noise=0.1))
+    doc = json.loads(serialize_model(grow_tree(data.db, PARAMS)))
+    # The first node two levels below the root, and its field path.
+    where, node = next(
+        (f"root.{a}.{b}", doc["root"][a][b])
+        for a in ("left", "right") if doc["root"][a]["type"] == "inner"
+        for b in ("left", "right")
+    )
+    del node["type"]
+    with pytest.raises(ModelFormatError, match=f"^invalid model document: {re.escape(where)}: missing 'type'$"):
+        deserialize_model(json.dumps(doc))
+    # Descriptors are read before the nodes.
+    del doc["descriptors"][0]["path"]["hops"][0]["label"]
+    where = re.escape("descriptors[0].path.hops[0]")
+    with pytest.raises(ModelFormatError, match=f"^invalid model document: {where}: missing 'label'$"):
+        deserialize_model(json.dumps(doc))
+
+
+def test_deserialize_rejects_a_document_nested_too_deeply():
+    nested = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ModelFormatError, match="recursion"):
+        deserialize_model(f'{{"format": "reltree-model", "version": {MODEL_VERSION}, "root": {nested}}}')
 
 
 def test_deserialize_reads_version_1_documents():
