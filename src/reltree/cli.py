@@ -61,6 +61,14 @@ def _params_from(args, strategy: str) -> LearnParams:
     )
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; a file that is not UTF-8 is a DataError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def _load_db(args, strip_default: bool) -> Database:
     catalog = load_schema(args.schema)
     strip = getattr(args, "strip_target_features", strip_default)
@@ -137,14 +145,14 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = deserialize_model(Path(args.model).read_text(encoding="utf-8"))
+    model = deserialize_model(_read_text(args.model))
     db = _load_db(args, strip_default=False)
     target = db.catalog.target_table
     pk = db.catalog.table(target).primary_key.name
 
     if args.ids:
         row_ids = []
-        for line in Path(args.ids).read_text(encoding="utf-8").splitlines():
+        for line in _read_text(args.ids).splitlines():
             value = line.strip()
             if not value:
                 continue
@@ -199,7 +207,7 @@ def _cmd_synth(args) -> int:
     spec = SchoolSpec()
     if args.spec:
         try:
-            overrides = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            overrides = json.loads(_read_text(args.spec))
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.spec}: not valid JSON: {exc}") from None
         if not isinstance(overrides, dict):

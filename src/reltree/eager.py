@@ -108,14 +108,16 @@ def train_flat(db: Database, max_path_len: int | None, params: LearnParams, inst
         label_ids, _, _ = target_labels(db)
         instance_ids = label_ids
     flat = propositionalize(db, max_path_len, params, instance_ids=instance_ids)
-    labeled = flat.labels >= 0
     ldt = LocalDataTable(
-        instance_ids=flat.instance_ids[labeled],
-        labels=flat.labels[labeled],
+        instance_ids=flat.instance_ids,
+        labels=flat.labels,
         n_classes=len(flat.class_labels),
-        columns=[c.take(labeled) for c in flat.columns],
+        columns=flat.columns,
         frontier={},
     )
+    unlabeled = flat.labels < 0
+    if unlabeled.any():
+        ldt = ldt.take_rows(np.flatnonzero(~unlabeled))
     root = _grow(db, ldt, params, depth=0, used=frozenset())
     return model_from_root(db, root, params, mode="eager")
 

@@ -100,15 +100,6 @@ class FeatureColumn:
     def __len__(self) -> int:
         return len(self.values)
 
-    def take(self, idx) -> "FeatureColumn":
-        return FeatureColumn(
-            descriptor=self.descriptor,
-            kind=self.kind,
-            values=self.values[idx],
-            defined=self.defined[idx],
-            dictionary=self.dictionary,
-        )
-
 
 def contains_enabled(domain_size: int, table_rows: int, params: LearnParams) -> bool:
     """Contains features apply only to domains strictly below both thresholds.

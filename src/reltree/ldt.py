@@ -9,16 +9,29 @@ frontier paths get extended depends on the strategy: all of them
 (unrestricted), or only paths whose features were used by an ancestor split
 (restricted).  Length-1 initial paths were introduced unconditionally at the
 root and stay eligible under either strategy.
+
+Columns are stored as one block per kind, a ``(columns of the kind) x rows``
+values array and a defined mask of the same shape: numeric ``float64`` with
+NaN in every undefined cell and in no defined one, categorical ``int64``
+codes, and boolean.  A
+block's rows keep the table's column order.  A :class:`ColumnLayout` says
+where each column lives (its block and row there), its dictionary, and its
+rank in descriptor order.  A table built from columns (the root, an
+extension, the eager flat table) computes its layout once; every table
+partitioned from it shares that layout and takes its rows of each block with
+one gather.  ``ldt.columns`` reads the blocks back as :class:`FeatureColumn`
+views, in append order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .features import FeatureColumn, features_for_path
+from .features import BOOLEAN, CATEGORICAL, NUMERIC, FeatureColumn, FeatureDescriptor, features_for_path
 from .joinpath import (
     JoinInstantiation,
     JoinPath,
@@ -33,27 +46,147 @@ from .storage import CategoricalColumn, Database, DataError
 if TYPE_CHECKING:  # pragma: no cover
     from .tree import SplitTest
 
+_BLOCK_DTYPES = {NUMERIC: np.float64, CATEGORICAL: np.int64, BOOLEAN: bool}
+
 
 class InvalidSplitError(ValueError):
     """A split test routed every row to one side."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class ColumnLayout:
+    """Where each column of a table lives; shared by every table partitioned from it.
+
+    Column ``i`` (append order) is row ``slots[i]`` of the block of
+    ``kinds[i]``, and ``index`` maps its descriptor back to ``i``.  Per kind, ``members[kind]`` holds the column index of each
+    block row and ``ranks[kind]`` its position in descriptor order.  Block row
+    ``s`` of the categorical block owns the code bins ``code_offsets[s]`` up
+    to ``code_offsets[s + 1]``, one per value of its dictionary.
+    """
+
+    descriptors: tuple[FeatureDescriptor, ...]
+    kinds: tuple[str, ...]
+    dictionaries: tuple[tuple[str, ...] | None, ...]
+    slots: tuple[int, ...]
+    index: dict[FeatureDescriptor, int]
+    members: dict[str, tuple[int, ...]]
+    ranks: dict[str, np.ndarray]
+    code_offsets: np.ndarray
+
+    @classmethod
+    def of(cls, columns: list[FeatureColumn]) -> "ColumnLayout":
+        members: dict[str, list[int]] = {}
+        slots = []
+        for i, c in enumerate(columns):
+            if c.kind not in _BLOCK_DTYPES:
+                raise ValueError(f"unknown column kind {c.kind!r}")
+            rows = members.setdefault(c.kind, [])
+            slots.append(len(rows))
+            rows.append(i)
+        order = sorted(range(len(columns)), key=lambda i: columns[i].descriptor.sort_key())
+        rank = np.empty(len(columns), dtype=np.int64)
+        rank[order] = np.arange(len(columns))
+        sizes = [len(columns[i].dictionary or ()) for i in members.get(CATEGORICAL, ())]
+        return cls(
+            descriptors=tuple(c.descriptor for c in columns),
+            kinds=tuple(c.kind for c in columns),
+            dictionaries=tuple(c.dictionary for c in columns),
+            slots=tuple(slots),
+            index={c.descriptor: i for i, c in enumerate(columns)},
+            members={kind: tuple(rows) for kind, rows in members.items()},
+            ranks={kind: rank[rows] for kind, rows in members.items()},
+            code_offsets=np.cumsum([0, *sizes]),
+        )
+
+
+def _stack(layout: ColumnLayout, columns: list[FeatureColumn]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """One (values, defined) block per kind present, rows in the layout's order."""
+    blocks = {}
+    for kind, rows in layout.members.items():
+        values = np.array([columns[i].values for i in rows], dtype=_BLOCK_DTYPES[kind])
+        defined = np.array([columns[i].defined for i in rows], dtype=bool)
+        if kind == NUMERIC:
+            if np.isnan(values[defined]).any():
+                raise ValueError("a defined numeric cell is NaN")
+            values[~defined] = np.nan
+        blocks[kind] = (values, defined)
+    return blocks
+
+
+class _Columns(Sequence):
+    """A table's columns, read back from its blocks as views; ``len`` reads only the layout."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "LocalDataTable") -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.layout.descriptors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._table.column(j) for j in range(len(self))[i]]
+        return self._table.column(range(len(self))[i])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 class LocalDataTable:
-    instance_ids: np.ndarray
-    labels: np.ndarray
-    n_classes: int
-    columns: list[FeatureColumn]
-    frontier: dict[JoinPath, JoinInstantiation]  # paths not yet extended -> join over these or more instances
+    """A tree node's rows: instance ids, class labels, feature blocks and frontier.
+
+    ``LocalDataTable(instance_ids=..., labels=..., n_classes=..., columns=[...],
+    frontier=...)`` stacks the columns into blocks under a new layout.
+    """
+
+    def __init__(
+        self,
+        instance_ids: np.ndarray,
+        labels: np.ndarray,
+        n_classes: int,
+        columns: list[FeatureColumn],
+        frontier: dict[JoinPath, JoinInstantiation],  # paths not yet extended -> join over these or more instances
+    ) -> None:
+        layout = ColumnLayout.of(columns)
+        self._set(instance_ids, labels, n_classes, layout, _stack(layout, columns), frontier)
+
+    def _set(self, instance_ids, labels, n_classes, layout, blocks, frontier) -> None:
+        self.instance_ids = instance_ids
+        self.labels = labels
+        self.n_classes = n_classes
+        self.layout = layout
+        self.blocks = blocks  # kind -> (values, defined), each (columns of the kind) x rows
+        self.frontier = frontier
+
+    def take_rows(self, rows: np.ndarray) -> "LocalDataTable":
+        """The table over ``rows`` (positions), sharing this one's layout and frontier."""
+        table = LocalDataTable.__new__(LocalDataTable)
+        blocks = {
+            kind: (np.take(values, rows, axis=1), np.take(defined, rows, axis=1))
+            for kind, (values, defined) in self.blocks.items()
+        }
+        table._set(self.instance_ids[rows], self.labels[rows], self.n_classes, self.layout, blocks, self.frontier)
+        return table
 
     def __len__(self) -> int:
         return len(self.instance_ids)
 
+    @property
+    def columns(self) -> Sequence[FeatureColumn]:
+        return _Columns(self)
+
+    def column(self, i: int) -> FeatureColumn:
+        layout = self.layout
+        values, defined = self.blocks[layout.kinds[i]]
+        s = layout.slots[i]
+        return FeatureColumn(layout.descriptors[i], layout.kinds[i], values[s], defined[s], layout.dictionaries[i])
+
     def column_for(self, descriptor) -> FeatureColumn:
-        for col in self.columns:
-            if col.descriptor == descriptor:
-                return col
-        raise KeyError(f"no column for descriptor {descriptor.name}")
+        i = self.layout.index.get(descriptor)
+        if i is None:
+            raise KeyError(f"no column for descriptor {descriptor.name}")
+        return self.column(i)
 
 
 def target_labels(db: Database) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -155,26 +288,13 @@ def split_masks(test: "SplitTest", column: FeatureColumn) -> tuple[np.ndarray, n
 def partition_ldt(ldt: LocalDataTable, test: "SplitTest") -> tuple[LocalDataTable, LocalDataTable]:
     """Split an LDT by a test; undefined rows follow the stored route.
 
-    The left child is the pass side.  Children take their rows of every
-    column and share the parent's frontier map; no join is touched.
+    The left child is the pass side.  Children take their rows of each block
+    with one gather and share the parent's layout and frontier map; no join
+    is touched.
     """
-    column = ldt.column_for(test.descriptor)
-    passes, fails, undef = split_masks(test, column)
-    if test.undefined_route == "pass":
-        left = passes | undef
-    else:
-        left = passes
-    right = ~left
-    if not left.any() or not right.any():
+    passes, _, undef = split_masks(test, ldt.column_for(test.descriptor))
+    left = passes | undef if test.undefined_route == "pass" else passes
+    left_rows = np.flatnonzero(left)
+    if left_rows.size in (0, len(ldt)):
         raise InvalidSplitError(f"test {test.descriptor.name} sends all rows to one side")
-
-    def child(mask: np.ndarray) -> LocalDataTable:
-        return LocalDataTable(
-            instance_ids=ldt.instance_ids[mask],
-            labels=ldt.labels[mask],
-            n_classes=ldt.n_classes,
-            columns=[c.take(mask) for c in ldt.columns],
-            frontier=ldt.frontier,
-        )
-
-    return child(left), child(right)
+    return ldt.take_rows(left_rows), ldt.take_rows(np.flatnonzero(~left))

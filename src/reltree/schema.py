@@ -283,6 +283,8 @@ def load_schema(path) -> SchemaCatalog:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read schema file {path}: not UTF-8 text: {exc.reason}") from None
     except yaml.YAMLError as exc:
         raise SchemaError(f"cannot parse schema file {path}: {_yaml_problem(exc)}") from exc
     return catalog_from_dict(doc, source=str(path))

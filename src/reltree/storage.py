@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +211,7 @@ def build_database(
     catalog: SchemaCatalog,
     raw_tables: dict[str, list[dict] | dict[str, Sequence]],
     options: LoadOptions | None = None,
+    sources: dict[str, Path] | None = None,
 ) -> Database:
     """Build a :class:`Database` from each table's rows or columns.
 
@@ -218,6 +219,10 @@ def build_database(
     from a row is missing, or a dictionary holding one sequence per schema
     column, all of one length (the form :func:`load_database` passes).  Cell
     values may be strings (as read from CSV), plain Python numbers or None.
+
+    A bad cell is reported by its 1-based input row, or, for a table that
+    ``sources`` maps to the CSV file it was read from, by that file and the
+    cell's physical line.
     """
     opts = options or LoadOptions()
     missing_cells = frozenset((None, *opts.missing_tokens))
@@ -225,7 +230,7 @@ def build_database(
     # Missing masks, then rows with a missing key cell rejected.
     cells: dict[str, dict[str, Sequence]] = {}
     missing: dict[str, dict[str, np.ndarray]] = {}
-    row_numbers: dict[str, np.ndarray] = {}  # 1-based input row of each kept row
+    kept_rows: dict[str, np.ndarray] = {}  # input row (0-based) of each kept row
     rejected: dict[str, int] = {}
     for ts in catalog.tables:
         cols = _table_columns(ts, raw_tables.get(ts.name))
@@ -242,7 +247,7 @@ def build_database(
             masks = {name: mask[kept] for name, mask in masks.items()}
         cells[ts.name] = cols
         missing[ts.name] = masks
-        row_numbers[ts.name] = kept + 1
+        kept_rows[ts.name] = kept
         rejected[ts.name] = n - len(kept)
 
     # Primary keys first (codes 0..n-1 in row order), then foreign keys in
@@ -300,11 +305,11 @@ def build_database(
             elif c.kind == KIND_FOREIGN_KEY:
                 columns[c.name] = KeyColumn(codes=key_codes[(ts.name, c.name)], domain=domains[(c.ref_table, c.ref_column)])
             elif c.kind == KIND_NUMERIC:
-                where = f"table {ts.name} column {c.name}"
-                columns[c.name] = _numeric_column(col, miss, row_numbers[ts.name], where)
+                where = _cell_locator(ts.name, c.name, kept_rows[ts.name], (sources or {}).get(ts.name))
+                columns[c.name] = _numeric_column(col, miss, where)
             elif c.kind == KIND_CATEGORICAL:
                 columns[c.name] = _categorical_column(col, miss)
-        tables[ts.name] = TableData(name=ts.name, n_rows=len(row_numbers[ts.name]), columns=columns)
+        tables[ts.name] = TableData(name=ts.name, n_rows=len(kept_rows[ts.name]), columns=columns)
 
     indexes: dict[tuple[str, str], KeyIndex] = {}
     for ts in catalog.tables:
@@ -344,7 +349,28 @@ def _present(col: Sequence, miss: np.ndarray) -> Sequence:
     return list(compress(col, (~miss).tolist())) if miss.any() else col
 
 
-def _numeric_column(col: Sequence, miss: np.ndarray, row_numbers: np.ndarray, where: str) -> NumericColumn:
+def _cell_locator(table: str, column: str, kept: np.ndarray, source: Path | None) -> Callable[[int], str]:
+    """Names a column's cell in kept row ``i``: by 1-based input row, or by file and physical line."""
+    if source is None:
+        return lambda i: f"table {table} column {column} row {kept[i] + 1}"
+    return lambda i: f"{source} line {_physical_line(source, int(kept[i]))}: column {column}"
+
+
+def _physical_line(path: Path, index: int) -> int:
+    """The physical line of data row ``index`` (0-based) of a CSV that :func:`_read_rows` read.
+
+    The file is read again only to report a bad cell, so that loading does
+    not pay for line numbers.  A record whose quoted field spans lines has
+    the line it ends on, as ``csv`` counts it.
+    """
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        next(islice((row for row in reader if row), index, None))  # blank lines are not rows
+        return reader.line_num
+
+
+def _numeric_column(col: Sequence, miss: np.ndarray, where: Callable[[int], str]) -> NumericColumn:
     present = _present(col, miss)
     try:
         parsed = np.fromiter(map(float, present), np.float64, len(present))
@@ -357,9 +383,9 @@ def _numeric_column(col: Sequence, miss: np.ndarray, row_numbers: np.ndarray, wh
             try:
                 x = float(v)
             except (TypeError, ValueError):
-                raise DataError(f"{where} row {row_numbers[i]}: not numeric: {v!r}") from None
+                raise DataError(f"{where(i)}: not numeric: {v!r}") from None
             if not math.isfinite(x):
-                raise DataError(f"{where} row {row_numbers[i]}: not finite: {v!r}")
+                raise DataError(f"{where(i)}: not finite: {v!r}")
     values = np.full(len(col), np.nan, dtype=np.float64)
     values[~miss] = parsed
     return NumericColumn(values=values, missing=miss)
@@ -380,9 +406,11 @@ def load_database(catalog: SchemaCatalog, data_dir, options: LoadOptions | None 
     CSVs are RFC-4180-style UTF-8 with a header row; a byte-order mark is
     skipped.  The header must name every schema column (order-insensitive)
     and no column twice; extra columns are ignored.  Every data row has the
-    header's number of fields; blank lines are skipped.
+    header's number of fields; blank lines are skipped.  Every bad cell is
+    reported by its file and physical line.
     """
     raw: dict[str, dict[str, list]] = {}
+    sources: dict[str, Path] = {}
     for ts in catalog.tables:
         path = Path(data_dir) / ts.source_file
         try:
@@ -402,7 +430,8 @@ def load_database(catalog: SchemaCatalog, data_dir, options: LoadOptions | None 
             raise DataError(f"{path}: header is missing schema columns: {', '.join(absent)}")
         positions = {c.name: header.index(c.name) for c in ts.columns}
         raw[ts.name] = {name: [row[i] for row in rows] for name, i in positions.items()}
-    return build_database(catalog, raw, options)
+        sources[ts.name] = path
+    return build_database(catalog, raw, options, sources)
 
 
 def _read_rows(reader, path: Path) -> tuple[list[str], list[list[str]]]:

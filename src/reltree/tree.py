@@ -5,9 +5,11 @@ distinct defined values, one equality test per categorical value present, and
 the true-test for boolean features.  Each candidate induces a ternary
 pass/fail/undefined partition; the undefined rows are merged into whichever
 side scores the higher gain (ties go to fail) and the node remembers that
-routing so prediction can follow it.  A node's split search builds each
-column's candidates as rows of class counts, then scores all of them with one
-vectorized pass and picks the winner with one ``argmax``.
+routing so prediction can follow it.  A node's split search builds the
+candidates of all columns of one kind from that kind's block of the LDT at
+once, as rows of class counts, with a fixed number of numpy calls per kind;
+it then scores every row with one vectorized pass and picks the first row of
+highest gain in descriptor order.
 
 Growth follows the lazy scheme: try to split on the columns at hand, and only
 when no test clears the gain threshold extend the node's table with features
@@ -102,93 +104,142 @@ def _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent):
     return np.where(route_is_pass, ig_pass, ig_fail), route_is_pass
 
 
-def _column_candidates(col: FeatureColumn, labels: np.ndarray, parent: np.ndarray):
-    """One column's candidate tests as rows: (pass_counts, undef_counts, keys), or None.
+def _numeric_candidates(values: np.ndarray, defined: np.ndarray, labels: np.ndarray, parent: np.ndarray):
+    """Candidate rows of every column of the numeric block, or None.
 
-    ``keys[i]`` is row ``i``'s threshold (numeric, ascending) or value code
-    (categorical, ascending); a boolean column has the one row of its
-    true-test and no keys.  ``undef_counts`` is the column's one row of
-    undefined-instance class counts; the fail counts of a row are ``parent -
-    undef_counts - pass_counts``.
+    Returns (slots, pass_counts, undef_counts, thresholds): row ``i`` tests
+    block row ``slots[i]`` at ``thresholds[i]``, ascending within a block row.
+    One sort of the block puts each row's defined cells in ascending order
+    and its undefined (NaN) cells last; a threshold sits wherever the next
+    sorted value of the row is larger, and its pass counts are the
+    cumulative class counts there.  Equal values may sort in any order,
+    because counts are read only where the value changes.
     """
-    defined = col.defined
-    d_idx = np.nonzero(defined)[0]
-    if d_idx.size == 0:
+    m, n = values.shape
+    if n < 2:
         return None
+    order = np.argsort(values, axis=1)
+    sorted_labels = labels[order]
+    order += np.arange(0, m * n, n)[:, None]
+    ordered = values.ravel()[order.ravel()]  # row s sorted, at s * n ... s * n + n - 1
+    del order
+    larger = ordered[:-1] < ordered[1:]
+    larger[n - 1::n] = False  # a row's last cell against the next row's first
+    at = np.flatnonzero(larger)  # flat position of the lower value of each threshold
+    if at.size == 0:
+        return None
+    slots = at // n
+    lower, upper = ordered[at], ordered[at + 1]
+    # A midpoint of two adjacent floats can round up onto the larger value,
+    # one of huge values overflows to inf, and that of -inf and inf is NaN;
+    # the lower value then keeps `v <= threshold` equivalent to the
+    # positional split.
+    with np.errstate(over="ignore", invalid="ignore"):
+        thresholds = (lower + upper) / 2.0
+    off = ~(thresholds < upper)
+    thresholds[off] = lower[off]
+    last = slots * n + np.count_nonzero(defined, axis=1)[slots] - 1  # each row's last defined cell
+    pass_counts = np.empty((at.size, len(parent)), dtype=np.int64)
+    undef_counts = np.empty_like(pass_counts)
+    for k in range(len(parent)):
+        cum = np.cumsum(sorted_labels == k, axis=1).ravel()
+        pass_counts[:, k] = cum[at]
+        undef_counts[:, k] = parent[k] - cum[last]
+    return slots, pass_counts, undef_counts, thresholds
+
+
+def _categorical_candidates(codes, defined, labels, parent, code_offsets):
+    """Candidate rows of every column of the categorical block, or None.
+
+    Returns (slots, pass_counts, undef_counts, codes): one equality test per
+    value present, ascending by code within a block row.  One bincount over
+    per-row offset codes counts every (row, value, class); a row with an
+    empty dictionary owns no bin and has no candidates.
+    """
     n_classes = len(parent)
-    undef_counts = np.bincount(labels[~defined], minlength=n_classes)
-    d_labels = labels[d_idx]
-
-    if col.kind == NUMERIC:
-        vals = col.values[d_idx]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
-        if boundaries.size == 0:
-            return None
-        onehot = np.zeros((len(sv), n_classes), dtype=np.int64)
-        onehot[np.arange(len(sv)), d_labels[order]] = 1
-        pass_counts = np.cumsum(onehot, axis=0)[boundaries]
-        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
-        # A midpoint of two adjacent floats can round up onto the larger
-        # value; keep `v <= threshold` equivalent to the positional split.
-        rounded_up = thresholds >= sv[boundaries + 1]
-        thresholds[rounded_up] = sv[boundaries][rounded_up]
-        return pass_counts, undef_counts, thresholds
-
-    if col.kind == BOOLEAN:
-        truthy = col.values.astype(bool)[d_idx]
-        return np.bincount(d_labels[truthy], minlength=n_classes)[None, :], undef_counts, None
-
-    # categorical: one one-vs-rest equality test per value present
-    k = len(col.dictionary or ())
-    if k == 0:
+    n_bins = int(code_offsets[-1])
+    starts = code_offsets[:-1]
+    live = defined & (code_offsets[1:] > starts)[:, None]
+    keys = (codes + starts[:, None]) * n_classes + labels
+    counts = np.bincount(keys[live], minlength=n_bins * n_classes).reshape(n_bins, n_classes)
+    bins = np.flatnonzero(counts.any(axis=1))
+    if bins.size == 0:
         return None
-    codes = col.values[d_idx].astype(np.int64)
-    present = np.unique(codes)
-    counts_by_code = np.bincount(codes * n_classes + d_labels, minlength=k * n_classes).reshape(k, n_classes)
-    return counts_by_code[present], undef_counts, present
+    slots = np.searchsorted(code_offsets, bins, side="right") - 1
+    cum = np.zeros((n_bins + 1, n_classes), dtype=np.int64)
+    np.cumsum(counts, axis=0, out=cum[1:])
+    undef_counts = parent - (cum[code_offsets[1:]] - cum[starts])
+    return slots, counts[bins], undef_counts[slots], bins - starts[slots]
+
+
+def _boolean_candidates(values, defined, labels, parent):
+    """Candidate rows of the boolean block: one true-test per row with a defined cell, or None.
+
+    Returns (slots, pass_counts, undef_counts, None), counted by one bincount
+    over (row, value, class).
+    """
+    n_classes = len(parent)
+    keys = (np.arange(len(values))[:, None] * 2 + values) * n_classes + labels
+    counts = np.bincount(keys[defined], minlength=len(values) * 2 * n_classes).reshape(len(values), 2, n_classes)
+    slots = np.flatnonzero(defined.any(axis=1))
+    if slots.size == 0:
+        return None
+    return slots, counts[slots, 1], parent - counts[slots].sum(axis=1), None
 
 
 def best_split(ldt: LocalDataTable, params: LearnParams) -> tuple[SplitTest, float] | None:
     """Highest-gain valid test over the LDT's columns, or None.
 
-    Every candidate of every column is scored in one pass: the columns'
-    candidate rows are stacked in descriptor order, each column's by
-    ascending threshold or value code, and the first row of highest gain
-    wins.  So gain ties between tests break by descriptor order, then by
-    lower threshold / value code.
+    Each kind's block yields the candidate rows of all its columns at once:
+    numeric thresholds by ascending value, categorical value codes ascending,
+    one true-test per boolean column.  All rows are scored in one pass.  A
+    row's gain does not depend on the rows scored with it, so the winner is
+    the first row of highest gain in descriptor order (each column's rank in
+    the layout), then by lower threshold / value code: gain ties between
+    tests break by descriptor order.
     """
     n = len(ldt)
-    parent = np.bincount(ldt.labels, minlength=ldt.n_classes)
+    labels = ldt.labels
+    parent = np.bincount(labels, minlength=ldt.n_classes)
+    layout = ldt.layout
     found = []
-    for col in sorted(ldt.columns, key=lambda c: c.descriptor.sort_key()):
-        candidates = _column_candidates(col, ldt.labels, parent)
-        if candidates is not None:
-            found.append((col, *candidates))
+    for kind, (values, defined) in ldt.blocks.items():
+        if kind == NUMERIC:
+            rows = _numeric_candidates(values, defined, labels, parent)
+        elif kind == CATEGORICAL:
+            rows = _categorical_candidates(values, defined, labels, parent, layout.code_offsets)
+        else:
+            rows = _boolean_candidates(values, defined, labels, parent)
+        if rows is not None:
+            found.append((kind, *rows))
     if not found:
         return None
-    sizes = [len(pass_counts) for _, pass_counts, _, _ in found]
-    pass_counts = np.concatenate([pass_counts for _, pass_counts, _, _ in found])
-    undef_counts = np.repeat(np.stack([undef for _, _, undef, _ in found]), sizes, axis=0)
+    pass_counts = np.concatenate([f[2] for f in found])
+    undef_counts = np.concatenate([f[3] for f in found])
     fail_counts = parent - undef_counts - pass_counts
     ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, entropy(parent))
-    i = int(np.argmax(ig))
-    if not np.isfinite(ig[i]):
+    best = ig.max()
+    if not np.isfinite(best):
         return None
-    starts = np.cumsum(sizes) - sizes
-    c = int(np.searchsorted(starts, i, side="right")) - 1
-    col, _, _, keys = found[c]
-    route = "pass" if route_pass[i] else "fail"
-    if col.kind == BOOLEAN:
-        test = SplitTest(col.descriptor, "boolean_true", undefined_route=route)
-    elif col.kind == NUMERIC:
-        test = SplitTest(col.descriptor, "numeric_le", threshold=float(keys[i - starts[c]]), undefined_route=route)
+    ties = np.flatnonzero(ig == best)
+    ranks = np.concatenate([layout.ranks[kind][slots] for kind, slots, *_ in found])
+    row = i = int(ties[np.argmin(ranks[ties])])
+    route = "pass" if route_pass[row] else "fail"
+    for kind, slots, _, _, keys in found:
+        if i < len(slots):
+            break
+        i -= len(slots)
+    column = int(layout.members[kind][slots[i]])
+    descriptor = layout.descriptors[column]
+    if kind == BOOLEAN:
+        test = SplitTest(descriptor, "boolean_true", undefined_route=route)
+    elif kind == NUMERIC:
+        test = SplitTest(descriptor, "numeric_le", threshold=float(keys[i]), undefined_route=route)
     else:
-        code = int(keys[i - starts[c]])
-        test = SplitTest(col.descriptor, "categorical_eq", value=col.dictionary[code], value_code=code,
+        code = int(keys[i])
+        test = SplitTest(descriptor, "categorical_eq", value=layout.dictionaries[column][code], value_code=code,
                          undefined_route=route)
-    return test, float(ig[i])
+    return test, float(ig[row])
 
 
 @dataclass(frozen=True)

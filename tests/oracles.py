@@ -452,7 +452,7 @@ def exhaustive_split(columns, labels):
             vals = sorted({cells[i] for i in defined})
             for lo, hi in zip(vals, vals[1:]):
                 thr = (lo + hi) / 2.0
-                if thr >= hi:
+                if not thr < hi:  # rounded up onto hi, or NaN between -inf and inf
                     thr = lo
                 candidates.append(("numeric_le", thr, lambda v, t=thr: v <= t))
         elif kind == "boolean":
@@ -539,8 +539,9 @@ def _best_on_column(col, labels, n_classes, n, h_parent):
         cum = np.cumsum(onehot, axis=0)
         pass_counts = cum[boundaries]
         fail_counts = total_def[None, :] - pass_counts
-        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
-        rounded_up = thresholds >= sv[boundaries + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
+        rounded_up = ~(thresholds < sv[boundaries + 1])  # or NaN between -inf and inf
         thresholds[rounded_up] = sv[boundaries][rounded_up]
         ig, route_pass = _score_column(pass_counts, fail_counts, undef_counts, n, h_parent)
         i = int(np.argmax(ig))

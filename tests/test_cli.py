@@ -170,7 +170,7 @@ def test_non_finite_number_exits_one_without_traceback(school_paths, tmp_path, c
             "--out", str(tmp_path / "m.json")]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.strip() == "error: table Student column grade row 1: not finite: 'nan'"
+    assert err.strip() == f"error: {student} line 2: column grade: not finite: 'nan'"
     assert run(argv + ["--missing-token", "nan"]) == 0
 
 
@@ -205,3 +205,25 @@ def test_synth_malformed_spec_exits_one_naming_the_file(tmp_path, capsys):
     assert run(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {spec}: not valid JSON") and len(err.strip().splitlines()) == 1
+
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--model", "--ids", "--schema"])
+def test_input_file_that_is_not_utf8_exits_one_naming_it(school_paths, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p3\n\xff\xfe\n")
+    data = ["--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths)]
+    model = tmp_path / "model.json"
+    assert run(["learn", *data, "--out", str(model)]) == 0
+    argv = {
+        "--spec": ["synth", "--spec", str(bad), "--out", str(tmp_path / "out")],
+        "--model": ["predict", "--model", str(bad), *data, "--out", str(tmp_path / "preds.csv")],
+        "--ids": ["predict", "--model", str(model), *data, "--ids", str(bad), "--out", str(tmp_path / "preds.csv")],
+        "--schema": ["learn", "--schema", str(bad), "--data", str(school_paths), "--out", str(tmp_path / "m.json")],
+    }[flag]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"{bad}: not UTF-8 text: invalid start byte")

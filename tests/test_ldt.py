@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import school_doc, school_rows
-from oracles import random_micro_db
+from oracles import per_column_best_split, random_micro_db
 
 from reltree.features import Agg, FeatureColumn, FeatureDescriptor
 from reltree.joinpath import JoinPath, initial_paths
@@ -17,7 +17,7 @@ from reltree.ldt import (
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
 from reltree.storage import DataError, build_database
-from reltree.tree import SplitTest
+from reltree.tree import SplitTest, best_split
 
 RESTRICTED = LearnParams(strategy="restricted")
 UNRESTRICTED = LearnParams(strategy="unrestricted")
@@ -249,3 +249,60 @@ def test_extending_a_partitioned_node_matches_a_fresh_root(source, strategy, dat
         assert a.kind == b.kind and a.dictionary == b.dictionary
         assert np.array_equal(a.defined, b.defined)
         assert a.values[a.defined].tobytes() == b.values[b.defined].tobytes()
+
+
+def _root(source, params):
+    """(database, root LDT) of the school fixture or of a random micro database."""
+    if source == "school":
+        doc, tables = school_doc(), school_rows()
+    else:
+        doc, tables = random_micro_db(source)
+    db = build_database(catalog_from_dict(doc), tables)
+    try:
+        return db, build_root_ldt(db, params)
+    except DataError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=st.one_of(st.just("school"), st.integers(0, 100_000)),
+    strategy=st.sampled_from(["restricted", "unrestricted"]),
+    data=st.data(),
+)
+def test_blocks_match_the_columns_down_random_walks(source, strategy, data):
+    """At every node of a walk of extends and splits, the block search equals the
+    per-column search, and each child holds exactly its rows of the parent's columns."""
+    params = LearnParams(strategy=strategy)
+    db, node = _root(source, params)
+    used: frozenset = frozenset()
+    assert best_split(node, params) == per_column_best_split(node)
+    for step in data.draw(st.lists(st.sampled_from(["extend", "best", "split"]), max_size=6), label="steps"):
+        if step == "extend":
+            node = extend_ldt(db, node, params, used) or node
+        else:
+            if step == "best":
+                found = best_split(node, params)
+                test = found and found[0]
+            else:
+                test = node.columns and _random_test(data.draw(st.sampled_from(node.columns), label="column"), data)
+            if not test:
+                continue
+            try:
+                children = partition_ldt(node, test)
+            except InvalidSplitError:
+                continue
+            ids = np.concatenate([child.instance_ids for child in children])
+            assert sorted(ids.tolist()) == node.instance_ids.tolist()
+            for child in children:
+                mask = np.isin(node.instance_ids, child.instance_ids)
+                assert child.labels.tolist() == node.labels[mask].tolist()
+                assert len(child.columns) == len(node.columns)
+                for got, parent in zip(child.columns, node.columns):
+                    assert (got.descriptor, got.kind, got.dictionary) == (parent.descriptor, parent.kind, parent.dictionary)
+                    assert got.values.dtype == parent.values.dtype
+                    assert got.values.tobytes() == parent.values[mask].tobytes()
+                    assert got.defined.tobytes() == parent.defined[mask].tobytes()
+            node = data.draw(st.sampled_from(children), label="side")
+            used |= {test.descriptor.path}
+        assert best_split(node, params) == per_column_best_split(node)

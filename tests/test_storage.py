@@ -357,6 +357,23 @@ def test_blank_lines_are_skipped(school_dir):
     assert_same_database(load_database(catalog, school_dir), build_database(catalog, school_rows()))
 
 
+@pytest.mark.parametrize("cell, problem", [("x", "not numeric"), ("inf", "not finite")])
+def test_bad_number_in_a_csv_names_its_physical_line(school_dir, cell, problem):
+    # Blank lines before the bad cell: it is data row 3 but line 6 of the file.
+    (school_dir / "student.csv").write_text(f"SID,grade\ns1,8\n\n\ns2,10\ns3,{cell}\n", encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    with pytest.raises(DataError) as info:
+        load_database(catalog, school_dir)
+    assert str(info.value) == f"{school_dir / 'student.csv'} line 6: column grade: {problem}: {cell!r}"
+
+
+def test_bad_number_after_a_multi_line_record_names_the_line_it_ends_on(school_dir):
+    (school_dir / "student.csv").write_text('SID,grade,note\ns1,8,"two\nlines"\ns2,x,\n', encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    with pytest.raises(DataError, match=r"student\.csv line 4: column grade: not numeric: 'x'$"):
+        load_database(catalog, school_dir)
+
+
 def test_csv_parse_error_is_a_data_error(school_dir):
     (school_dir / "student.csv").write_text("SID,grade\ns1,8\ns2," + "9" * 200_000 + "\n", encoding="utf-8")
     catalog = load_schema(school_dir / "schema.yaml")

@@ -12,7 +12,7 @@ from reltree.eager import propositionalize
 from reltree.evaluate import SchoolSpec, generate_school_db
 from reltree.features import BOOLEAN, CATEGORICAL, NUMERIC, Agg, FeatureColumn, FeatureDescriptor
 from reltree.joinpath import JoinPath
-from reltree.ldt import LocalDataTable
+from reltree.ldt import LocalDataTable, partition_ldt
 from reltree.params import LearnParams
 from reltree.tree import (
     MODEL_VERSION,
@@ -110,34 +110,40 @@ def test_best_split_ties_inside_a_column_go_to_the_lower_threshold():
 
 # Values with repeats, and two adjacent floats whose midpoint rounds up.
 _GRID = (0.0, 1.0, float(np.nextafter(1.0, 2.0)), 2.5, 3.0, -4.0)
+# Infinities and huge finite values (sums and variances of large cells reach
+# them): midpoints overflow to inf, and that of -inf and inf is NaN.
+_EXTREMES = (-np.inf, -1.7e308, -1e308, -0.0, 0.0, 1e308, 1.7e308, np.inf)
 
 
 @st.composite
 def _split_search_ldts(draw):
     """LDTs of every column shape the split search distinguishes."""
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(1, 40))
     n_classes = draw(st.sampled_from([2, 3]))
     labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
     defined_cells = st.lists(st.booleans(), min_size=n, max_size=n)
     columns = []
-    for i in range(draw(st.integers(1, 7))):
-        shape = draw(st.sampled_from(
-            ["numeric", "numeric", "boolean", "categorical", "undefined", "constant", "no_dictionary", "duplicate"]
-        ))
+    for i in range(draw(st.integers(1, 9))):
+        shape = draw(st.sampled_from([
+            "numeric", "numeric", "extreme", "boolean", "categorical", "categorical", "undefined", "constant",
+            "no_dictionary", "duplicate",
+        ]))
         if shape == "duplicate" and columns:  # the same cells under a later name: ties across columns
             source = draw(st.sampled_from(columns))
             kind, values, defined, dictionary = source.kind, source.values, source.defined, source.dictionary
-        elif shape in ("numeric", "duplicate"):
+        elif shape in ("numeric", "duplicate", "extreme"):
             kind, dictionary = NUMERIC, None
-            values = np.array(draw(st.lists(st.sampled_from(_GRID), min_size=n, max_size=n)))
+            grid = _EXTREMES if shape == "extreme" else _GRID
+            values = np.array(draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n)))
             defined = np.array(draw(defined_cells)) | draw(st.booleans())
         elif shape == "boolean":
             kind, dictionary = BOOLEAN, None
             values = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
             defined = np.array(draw(defined_cells))
         elif shape == "categorical":
-            kind, dictionary = CATEGORICAL, ("a", "b", "c", "d")
-            values = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+            kind, dictionary = CATEGORICAL, tuple("abcdefg"[:draw(st.integers(1, 7))])
+            codes = st.integers(0, len(dictionary) - 1)
+            values = np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.int64)
             defined = np.array(draw(defined_cells))
             values[~defined] = -1
         elif shape == "undefined":
@@ -164,8 +170,17 @@ def _split_search_ldts(draw):
 @settings(max_examples=300, deadline=None)
 @given(_split_search_ldts())
 def test_best_split_equals_the_per_column_search(ldt):
-    """One-pass scoring picks exactly the test and gain of the column-at-a-time search."""
+    """The block search picks exactly the test and gain of the column-at-a-time search."""
     assert best_split(ldt, PARAMS) == per_column_best_split(ldt)
+
+
+def test_threshold_between_infinities_splits_where_the_values_do():
+    # The midpoint of -inf and inf is NaN, and `v <= NaN` passes nothing.
+    ldt = _ldt_from_columns([("numeric", [-np.inf, np.inf, -np.inf, np.inf], None)], [0, 1, 0, 1])
+    test, ig = best_split(ldt, PARAMS)
+    assert test.threshold == -np.inf and ig == 1.0
+    left, right = partition_ldt(ldt, test)
+    assert left.instance_ids.tolist() == [0, 2] and right.instance_ids.tolist() == [1, 3]
 
 
 def _random_oracle_ldt(rnd, max_rows=64, max_features=8):
