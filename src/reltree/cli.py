@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .eager import BudgetExceededError, export_flat_csv, propositionalize, write_manifest
-from .evaluate import MODES, SchoolSpec, cross_validate, write_school_dataset
+from .evaluate import MODES, SchoolSpec, _mode_params, cross_validate, write_school_dataset
 from .ldt import target_labels
 from .params import LearnParams
 from .schema import SchemaError, load_schema
@@ -50,15 +50,16 @@ def _add_learn_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--domsize-rel", type=float, default=_DEFAULTS.domsize_rel, help="relative domain-size bound for contains features")
 
 
-def _params_from(args, strategy: str) -> LearnParams:
-    return LearnParams(
+def _params_from(args) -> LearnParams:
+    """The learn params of ``args``; ``--mode`` sets the strategy (``evaluate._mode_params``)."""
+    params = LearnParams(
         min_ig=args.min_ig,
         min_inst=args.min_inst,
         max_depth=args.max_depth,
-        strategy=strategy,
         domsize_abs=args.domsize_abs,
         domsize_rel=args.domsize_rel,
     )
+    return _mode_params(params, args.mode)
 
 
 def _read_text(path: str) -> str:
@@ -69,11 +70,11 @@ def _read_text(path: str) -> str:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
-def _load_db(args, strip_default: bool) -> Database:
+def _load_db(args) -> Database:
     catalog = load_schema(args.schema)
-    strip = getattr(args, "strip_target_features", strip_default)
-    tokens = tuple(args.missing_token) if getattr(args, "missing_token", None) else LoadOptions().missing_tokens
-    return load_database(catalog, args.data, LoadOptions(missing_tokens=tokens, strip_target_features=strip))
+    tokens = tuple(args.missing_token) if args.missing_token else LoadOptions().missing_tokens
+    options = LoadOptions(missing_tokens=tokens, strip_target_features=args.strip_target_features)
+    return load_database(catalog, args.data, options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,11 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_io(p, with_missing=True):
+    def common_io(p):
         p.add_argument("--schema", required=True, help="schema description file (YAML)")
         p.add_argument("--data", required=True, help="directory holding the tables' CSV files")
-        if with_missing:
-            p.add_argument("--missing-token", action="append", help="missing-value token (repeatable; default: '' and '?')")
+        p.add_argument("--missing-token", action="append", help="missing-value token (repeatable; default: '' and '?')")
 
     p_learn = sub.add_parser("learn", help="train a model", formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     common_io(p_learn)
@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_io(p_pred)
     p_pred.add_argument("--ids", help="file with one target primary-key value per line (default: all rows)")
     p_pred.add_argument("--out", required=True, help="output predictions CSV")
+    p_pred.set_defaults(strip_target_features=False)
 
     p_prop = sub.add_parser("propositionalize", help="materialize the flat feature table",
                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -136,9 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_learn(args) -> int:
-    db = _load_db(args, strip_default=False)
-    strategy = args.mode.split("-", 1)[1]
-    model = grow_tree(db, _params_from(args, strategy))
+    db = _load_db(args)
+    model = grow_tree(db, _params_from(args))
     Path(args.out).write_text(serialize_model(model), encoding="utf-8")
     print(f"learned {args.mode} model: {model.n_nodes} nodes, {len(model.descriptors)} tested features -> {args.out}")
     return 0
@@ -146,7 +146,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = deserialize_model(_read_text(args.model))
-    db = _load_db(args, strip_default=False)
+    db = _load_db(args)
     target = db.catalog.target_table
     pk = db.catalog.table(target).primary_key.name
 
@@ -183,7 +183,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_propositionalize(args) -> int:
-    db = _load_db(args, strip_default=False)
+    db = _load_db(args)
     params = LearnParams(domsize_abs=args.domsize_abs, domsize_rel=args.domsize_rel)
     flat = propositionalize(db, args.max_path_len, params)
     export_flat_csv(flat, db, args.out, missing_token=args.missing_out)
@@ -194,9 +194,8 @@ def _cmd_propositionalize(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    db = _load_db(args, strip_default=True)
-    params = _params_from(args, "restricted" if args.mode != "lazy-unrestricted" else "unrestricted")
-    report = cross_validate(db, params, k=args.k, seed=args.seed, mode=args.mode, max_path_len=args.max_path_len)
+    db = _load_db(args)
+    report = cross_validate(db, _params_from(args), k=args.k, seed=args.seed, mode=args.mode, max_path_len=args.max_path_len)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(report.summary())

@@ -41,19 +41,7 @@ class Agg(enum.IntEnum):
     IS_EMPTY = 10
 
 
-AGG_NAMES = {
-    Agg.IDENTITY: "identity",
-    Agg.AVG: "avg",
-    Agg.STD: "std",
-    Agg.VAR: "var",
-    Agg.MAX: "max",
-    Agg.MIN: "min",
-    Agg.SUM: "sum",
-    Agg.COUNT: "count",
-    Agg.DISTINCT_COUNT: "distinct_count",
-    Agg.CONTAINS: "contains",
-    Agg.IS_EMPTY: "is_empty",
-}
+AGG_NAMES = {agg: agg.name.lower() for agg in Agg}
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -111,8 +99,8 @@ def contains_enabled(domain_size: int, table_rows: int, params: LearnParams) -> 
 
 # ---------------------------------------------------------------------------
 # Vectorized aggregation over all instances of an instantiation.  Training
-# (``features_for_path``) and prediction (``feature_cells``) both build their
-# cells from the pieces below.
+# (``features_for_path``), the eager table and prediction all build a
+# feature's cells through ``feature_cells``.
 
 
 def _segment_ids(lengths: np.ndarray) -> np.ndarray:
@@ -120,22 +108,13 @@ def _segment_ids(lengths: np.ndarray) -> np.ndarray:
 
 
 _NUMERIC_FAMILY = (Agg.AVG, Agg.STD, Agg.VAR, Agg.MAX, Agg.MIN, Agg.SUM, Agg.COUNT)
-_NUMERIC_AGGREGATE = {
-    Agg.AVG: "_avg",
-    Agg.STD: "_std",
-    Agg.VAR: "_var",
-    Agg.MAX: "_max",
-    Agg.MIN: "_min",
-    Agg.SUM: "_sum",
-}
 
 
 class BagAggregates:
     """The aggregates of one attribute over every bag of an instantiation.
 
-    Each aggregate is computed on first use, for all bags at once, and kept.
-    Training takes a whole family through :meth:`column`, prediction the one
-    aggregate a node tests through :meth:`cells`; both run the same arithmetic.
+    Each aggregate is computed on first use, for all bags at once, and kept,
+    so the aggregates of one attribute share their intermediates.
     """
 
     def __init__(self, bags: ValueBags) -> None:
@@ -211,7 +190,7 @@ class BagAggregates:
     def cells(self, descriptor: FeatureDescriptor) -> tuple[str, np.ndarray, np.ndarray]:
         """(kind, values, defined) of one aggregate of this attribute.
 
-        Values of undefined cells are unspecified; :meth:`column` sets them.
+        Values of undefined cells are unspecified.
         """
         agg = descriptor.agg
         if agg is Agg.CONTAINS:
@@ -220,50 +199,18 @@ class BagAggregates:
             return NUMERIC, self.lengths.astype(np.float64), self.nonempty
         if agg is Agg.DISTINCT_COUNT:
             return NUMERIC, self._distinct, self.nonempty
-        return NUMERIC, getattr(self, _NUMERIC_AGGREGATE[agg]), self.has_values
-
-    def column(self, descriptor: FeatureDescriptor) -> FeatureColumn:
-        """The feature column of one aggregate; undefined numeric cells hold NaN."""
-        kind, values, defined = self.cells(descriptor)
-        values = np.where(defined, values, np.nan) if kind == NUMERIC else values.copy()
-        return FeatureColumn(descriptor=descriptor, kind=kind, values=values, defined=defined.copy())
+        return NUMERIC, getattr(self, f"_{AGG_NAMES[agg]}"), self.has_values  # avg, std, var, max, min, sum
 
 
-def _numeric_columns(path: JoinPath, attr: str, bags: ValueBags) -> list[FeatureColumn]:
-    aggregates = BagAggregates(bags)
-    return [aggregates.column(FeatureDescriptor(path=path, attribute=attr, agg=agg)) for agg in _NUMERIC_FAMILY]
+def _identity_column(descriptor: FeatureDescriptor, col, inst: JoinInstantiation) -> FeatureColumn:
+    """Identity cells over a determinate path's bags, which hold one row at most.
 
-
-def _categorical_columns(path: JoinPath, attr: str, bags: ValueBags, emit_contains: bool) -> list[FeatureColumn]:
-    aggregates = BagAggregates(bags)
-    descriptors = [
-        FeatureDescriptor(path=path, attribute=attr, agg=Agg.COUNT),
-        FeatureDescriptor(path=path, attribute=attr, agg=Agg.DISTINCT_COUNT),
-    ]
-    if emit_contains:
-        descriptors += [
-            FeatureDescriptor(path=path, attribute=attr, agg=Agg.CONTAINS, value=value)
-            for value in aggregates.dictionary
-        ]
-    return [aggregates.column(d) for d in descriptors]
-
-
-def _nonempty_single_bags(inst: JoinInstantiation) -> np.ndarray:
-    """Nonempty mask of a determinate path's bags, which hold one row at most.
-
-    ``inst.rows`` then holds exactly the row of each nonempty bag, in bag order.
+    Undefined numeric cells hold NaN, categorical ones code -1.
     """
     has = inst.bag_sizes() > 0
     if np.count_nonzero(has) != len(inst.rows):
         raise AssertionError(f"determinate path {inst.path.render()} produced a bag of size > 1")
-    return has
-
-
-def _identity_column(descriptor: FeatureDescriptor, col, rows: np.ndarray, has: np.ndarray) -> FeatureColumn:
-    """Identity cells; undefined numeric cells hold NaN, categorical ones code -1.
-
-    ``rows`` holds the row of each bag that ``has`` marks nonempty.
-    """
+    rows = inst.rows  # the row of each nonempty bag, in bag order
     present = ~col.missing[rows]
     defined = has.copy()
     defined[has] = present
@@ -289,22 +236,51 @@ def _is_empty_column(inst: JoinInstantiation) -> FeatureColumn:
     )
 
 
+def path_descriptors(db: Database, path: JoinPath, params: LearnParams) -> list[FeatureDescriptor]:
+    """The features ``path`` defines, in descriptor order.
+
+    Determinate path: one identity feature per non-key attribute.
+    Non-determinate path: the is-empty feature plus, per attribute, the
+    numeric family, or count, distinct count and (when
+    :func:`contains_enabled`) one contains feature per dictionary value.  The
+    target attribute is never a feature.
+    """
+    schema = db.catalog.table(path.terminal_table)
+    table = db.tables[path.terminal_table]
+    attrs = [c.name for c in schema.columns if not c.is_key and c.name in table.columns]
+    if path.is_root:
+        attrs = [a for a in attrs if a != db.catalog.target_attribute]
+    if path.determinate:
+        out = [FeatureDescriptor(path, a, Agg.IDENTITY) for a in attrs]
+    else:
+        out = [FeatureDescriptor(path, None, Agg.IS_EMPTY)]
+        for a in attrs:
+            col = table.columns[a]
+            if isinstance(col, NumericColumn):
+                out += [FeatureDescriptor(path, a, agg) for agg in _NUMERIC_FAMILY]
+                continue
+            out += [FeatureDescriptor(path, a, Agg.COUNT), FeatureDescriptor(path, a, Agg.DISTINCT_COUNT)]
+            if contains_enabled(len(col.dictionary), table.n_rows, params):
+                out += [FeatureDescriptor(path, a, Agg.CONTAINS, value) for value in col.dictionary]
+    return sorted(out, key=FeatureDescriptor.sort_key)
+
+
 def feature_cells(
     db: Database, inst: JoinInstantiation, descriptor: FeatureDescriptor, aggregates: dict[str, BagAggregates]
 ) -> FeatureColumn:
     """The cells of one descriptor of ``inst.path`` over the instances of ``inst``.
 
-    Runs only the part of ``features_for_path``'s code that the descriptor
-    needs, so its defined cells equal that column's bit for bit; values of
-    undefined cells are unspecified.  ``aggregates`` keeps each attribute's
-    :class:`BagAggregates` of ``inst`` between calls, so aggregates of one
-    attribute share their intermediates.
+    The one mapping from a descriptor to its cells: training, the eager
+    table and prediction all compute a feature here.  Undefined categorical
+    cells code -1; values of other undefined cells are unspecified.
+    ``aggregates`` keeps each attribute's :class:`BagAggregates` of ``inst``
+    between calls, so aggregates of one attribute share their intermediates.
     """
     if descriptor.agg is Agg.IS_EMPTY:
         return _is_empty_column(inst)
     if descriptor.agg is Agg.IDENTITY:
         col = db.tables[inst.path.terminal_table].columns[descriptor.attribute]
-        return _identity_column(descriptor, col, inst.rows, _nonempty_single_bags(inst))
+        return _identity_column(descriptor, col, inst)
     found = aggregates.get(descriptor.attribute)
     if found is None:
         found = aggregates[descriptor.attribute] = BagAggregates(project_values(db, inst, descriptor.attribute))
@@ -313,41 +289,17 @@ def feature_cells(
 
 
 def features_for_path(db: Database, inst: JoinInstantiation, params: LearnParams) -> list[FeatureColumn]:
-    """All feature columns a path defines for the instances of ``inst``.
+    """The columns of every feature ``inst.path`` defines (:func:`path_descriptors`), in that order.
 
-    Determinate path: one identity column per non-key attribute.
-    Non-determinate path: one is-empty column plus the aggregate families.
-    Columns come out in descriptor order.  The target attribute is never a
-    feature.
+    Undefined numeric cells hold NaN.
     """
     path = inst.path
-    schema = db.catalog.table(path.terminal_table)
-    table = db.tables[path.terminal_table]
-    attrs = [c for c in schema.columns if not c.is_key and c.name in table.columns]
-    if path.is_root:
-        attrs = [c for c in attrs if c.name != db.catalog.target_attribute]
-
-    if path.determinate:
-        has = _nonempty_single_bags(inst)
-        cols = [
-            _identity_column(
-                FeatureDescriptor(path=path, attribute=spec.name, agg=Agg.IDENTITY),
-                table.columns[spec.name],
-                inst.rows,
-                has,
-            )
-            for spec in attrs
-        ]
-    else:
-        cols = [_is_empty_column(inst)]
-        for spec in attrs:
-            bags = project_values(db, inst, spec.name)
-            if bags.kind == "numeric":
-                cols.extend(_numeric_columns(path, spec.name, bags))
-            else:
-                emit = contains_enabled(len(bags.dictionary or ()), table.n_rows, params)
-                cols.extend(_categorical_columns(path, spec.name, bags, emit))
-
-    cols.sort(key=lambda c: c.descriptor.sort_key())
+    aggregates: dict[str, BagAggregates] = {}
+    cols = []
+    for descriptor in path_descriptors(db, path, params):
+        col = feature_cells(db, inst, descriptor, aggregates)
+        if col.kind == NUMERIC:
+            col.values = np.where(col.defined, col.values, np.nan)
+        cols.append(col)
     db.stats.count_features(None if path.is_root else path.render(), [c.descriptor.name for c in cols])
     return cols

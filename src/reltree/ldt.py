@@ -182,12 +182,6 @@ class LocalDataTable:
         s = layout.slots[i]
         return FeatureColumn(layout.descriptors[i], layout.kinds[i], values[s], defined[s], layout.dictionaries[i])
 
-    def column_for(self, descriptor) -> FeatureColumn:
-        i = self.layout.index.get(descriptor)
-        if i is None:
-            raise KeyError(f"no column for descriptor {descriptor.name}")
-        return self.column(i)
-
 
 def target_labels(db: Database) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """(row ids with a defined label, their class codes, class dictionary)."""
@@ -269,31 +263,31 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
     )
 
 
-def split_masks(test: "SplitTest", column: FeatureColumn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pass, fail, undefined) row masks of a split test over a column."""
-    defined = column.defined
-    if test.kind == "numeric_le":
-        passes = defined & (column.values <= test.threshold)
-    elif test.kind == "boolean_true":
-        passes = defined & column.values.astype(bool)
-    elif test.kind == "categorical_eq":
-        dictionary = column.dictionary or ()
-        code = dictionary.index(test.value) if test.value in dictionary else -2
-        passes = defined & (column.values == code)
-    else:
-        raise ValueError(f"unknown test kind {test.kind!r}")
-    return passes, defined & ~passes, ~defined
-
-
 def partition_ldt(ldt: LocalDataTable, test: "SplitTest") -> tuple[LocalDataTable, LocalDataTable]:
     """Split an LDT by a test; undefined rows follow the stored route.
 
-    The left child is the pass side.  Children take their rows of each block
-    with one gather and share the parent's layout and frontier map; no join
-    is touched.
+    The left child is the pass side.  The test reads the tested column's row
+    of its kind's block.  Children take their rows of each block with one
+    gather and share the parent's layout and frontier map; no join is
+    touched.
     """
-    passes, _, undef = split_masks(test, ldt.column_for(test.descriptor))
-    left = passes | undef if test.undefined_route == "pass" else passes
+    layout = ldt.layout
+    i = layout.index.get(test.descriptor)
+    if i is None:
+        raise KeyError(f"no column for descriptor {test.descriptor.name}")
+    values, defined = ldt.blocks[layout.kinds[i]]
+    values, defined = values[layout.slots[i]], defined[layout.slots[i]]
+    if test.kind == "numeric_le":
+        passes = values <= test.threshold
+    elif test.kind == "boolean_true":
+        passes = values
+    elif test.kind == "categorical_eq":
+        dictionary = layout.dictionaries[i] or ()
+        passes = values == (dictionary.index(test.value) if test.value in dictionary else -2)
+    else:
+        raise ValueError(f"unknown test kind {test.kind!r}")
+    passes = passes & defined
+    left = passes | ~defined if test.undefined_route == "pass" else passes
     left_rows = np.flatnonzero(left)
     if left_rows.size in (0, len(ldt)):
         raise InvalidSplitError(f"test {test.descriptor.name} sends all rows to one side")

@@ -261,9 +261,10 @@ def build_database(
         code_of = dict(zip(values, range(len(values))))
         if len(code_of) < len(values):
             seen: set[str] = set()
-            for v in values:
+            for i, v in enumerate(values):
                 if v in seen:
-                    raise DataError(f"duplicate primary key value {ts.name}.{pk.name}={v!r}")
+                    where = _cell_locator(ts.name, pk.name, kept_rows[ts.name], (sources or {}).get(ts.name))
+                    raise DataError(f"{where(i)}: duplicate primary key value {v!r}")
                 seen.add(v)
         domains[(ts.name, pk.name)] = KeyDomain(
             table=ts.name, column=pk.name, values=values, code_of=code_of, n_primary=len(values)

@@ -585,6 +585,14 @@ def _path_doc(path: JoinPath) -> dict:
     return {"start": path.start, "hops": [{k: getattr(h, k) for k in _HOP_FIELDS} for h in path.hops]}
 
 
+def _invalid(where: str, problem: str) -> ModelFormatError:
+    return ModelFormatError(f"invalid model document: {where}: {problem}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _get(obj, key: str, where: str):
     """``obj[key]`` of the model document's object at field path ``where`` ("" for the top level)."""
     at = f"{where}: " if where else ""
@@ -606,7 +614,7 @@ def _path_from_doc(doc: dict, where: str) -> JoinPath:
 def _descriptor_from_doc(doc: dict, where: str) -> FeatureDescriptor:
     agg = _get(doc, "agg", where)
     if agg not in _AGG_BY_NAME:
-        raise ModelFormatError(f"invalid model document: {where}.agg: unknown aggregator {agg!r}")
+        raise _invalid(f"{where}.agg", f"unknown aggregator {agg!r}")
     path = _path_from_doc(_get(doc, "path", where), f"{where}.path")
     return FeatureDescriptor(path=path, attribute=_get(doc, "attribute", where), agg=_AGG_BY_NAME[agg],
                              value=_get(doc, "value", where))
@@ -625,25 +633,57 @@ def _node_doc(node: TreeNode, desc_index: dict[FeatureDescriptor, int]) -> dict:
     }
 
 
-def _node_from_doc(doc: dict, descriptors: tuple[FeatureDescriptor, ...], where: str) -> TreeNode:
-    kind = _get(doc, "type", where)
-    if kind == "leaf":
-        counts = tuple(int(c) for c in _get(doc, "counts", where))
-        return LeafNode(counts=counts, prediction=int(_get(doc, "prediction", where)))
-    if kind != "inner":
-        raise ModelFormatError(f"invalid model document: {where}.type: unknown node type {kind!r}")
-    t = _get(doc, "test", where)
-    at = f"{where}.test"
-    index = _get(t, "descriptor", at)
-    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(descriptors):
-        raise ModelFormatError(f"invalid model document: {at}.descriptor: no descriptor {index!r}")
-    test = SplitTest(descriptor=descriptors[index], **{k: _get(t, k, at) for k in _TEST_FIELDS})
-    return InnerNode(
-        test=test,
-        ig=float(_get(doc, "ig", where)),
-        left=_node_from_doc(_get(doc, "left", where), descriptors, f"{where}.left"),
-        right=_node_from_doc(_get(doc, "right", where), descriptors, f"{where}.right"),
-    )
+_TEST_KINDS = ("numeric_le", "categorical_eq", "boolean_true")
+_ROUTES = ("pass", "fail")
+
+
+def _tree_from_doc(doc: dict, descriptors: tuple[FeatureDescriptor, ...], n_classes: int) -> TreeNode:
+    """The tree of the document's ``root``, every field a node reads checked and named by its path."""
+
+    def leaf(doc: dict, where: str) -> LeafNode:
+        counts = _get(doc, "counts", where)
+        if (
+            not isinstance(counts, list)
+            or len(counts) != n_classes
+            or not all(_is_int(c) and c >= 0 for c in counts)
+            or sum(counts) <= 0
+        ):
+            raise _invalid(f"{where}.counts", f"expected {n_classes} non-negative integers with a positive sum")
+        prediction = _get(doc, "prediction", where)
+        if not _is_int(prediction) or not 0 <= prediction < n_classes:
+            raise _invalid(f"{where}.prediction", f"no class {prediction!r}")
+        return LeafNode(counts=tuple(counts), prediction=prediction)
+
+    def test(t: dict, at: str) -> SplitTest:
+        index = _get(t, "descriptor", at)
+        if not _is_int(index) or not 0 <= index < len(descriptors):
+            raise _invalid(f"{at}.descriptor", f"no descriptor {index!r}")
+        got = {k: _get(t, k, at) for k in _TEST_FIELDS}
+        kind, threshold, value, route = got["kind"], got["threshold"], got["value"], got["undefined_route"]
+        if kind not in _TEST_KINDS:
+            raise _invalid(f"{at}.kind", f"unknown test kind {kind!r}")
+        if kind == "numeric_le" and (type(threshold) not in (int, float) or math.isnan(threshold)):
+            raise _invalid(f"{at}.threshold", f"expected a number, not {threshold!r}")
+        if kind == "categorical_eq" and not isinstance(value, str):
+            raise _invalid(f"{at}.value", f"expected a string, not {value!r}")
+        if route not in _ROUTES:
+            raise _invalid(f"{at}.undefined_route", f"expected 'pass' or 'fail', not {route!r}")
+        return SplitTest(descriptor=descriptors[index], **got)
+
+    def node(doc: dict, where: str) -> TreeNode:
+        kind = _get(doc, "type", where)
+        if kind == "leaf":
+            return leaf(doc, where)
+        if kind != "inner":
+            raise _invalid(f"{where}.type", f"unknown node type {kind!r}")
+        return InnerNode(
+            test=test(_get(doc, "test", where), f"{where}.test"),
+            ig=float(_get(doc, "ig", where)),
+            left=node(_get(doc, "left", where), f"{where}.left"),
+            right=node(_get(doc, "right", where), f"{where}.right"),
+        )
+
+    return node(doc, "root")
 
 
 def serialize_model(model: TreeModel) -> str:
@@ -684,14 +724,17 @@ def deserialize_model(document: str) -> TreeModel:
         pd = {f.name: _get(_get(doc, "params", ""), f.name, "params") for f in fields(LearnParams)}
         pd["max_depth"] = math.inf if pd["max_depth"] is None else float(pd["max_depth"])
         params = LearnParams(**pd)
+        class_labels = _get(doc, "class_labels", "")
+        if not isinstance(class_labels, list) or not all(isinstance(c, str) for c in class_labels):
+            raise _invalid("class_labels", "expected a list of strings")
         descriptors = tuple(
             _descriptor_from_doc(d, f"descriptors[{i}]") for i, d in enumerate(_get(doc, "descriptors", ""))
         )
         return TreeModel(
-            root=_node_from_doc(_get(doc, "root", ""), descriptors, "root"),
+            root=_tree_from_doc(_get(doc, "root", ""), descriptors, len(class_labels)),
             params=params,
             mode=_get(doc, "mode", ""),
-            class_labels=tuple(_get(doc, "class_labels", "")),
+            class_labels=tuple(class_labels),
             schema_fingerprint=_get(doc, "schema_fingerprint", ""),
             descriptors=descriptors,
         )

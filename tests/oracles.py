@@ -709,10 +709,10 @@ def naive_build_database(catalog, raw_rows, options=None):
     for ts in catalog.tables:
         pk = ts.primary_key
         dom = KeyDomain(table=ts.name, column=pk.name)
-        for row in kept[ts.name]:
+        for row, i in zip(kept[ts.name], kept_orig[ts.name]):
             v = str(row[pk.name])
             if v in dom.code_of:
-                raise DataError(f"duplicate primary key value {ts.name}.{pk.name}={v!r}")
+                raise DataError(f"table {ts.name} column {pk.name} row {i}: duplicate primary key value {v!r}")
             dom.code_of[v] = len(dom.values)
             dom.values.append(v)
         dom.n_primary = len(dom.values)

@@ -227,3 +227,62 @@ def test_input_file_that_is_not_utf8_exits_one_naming_it(school_paths, tmp_path,
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith("error: ") and line.endswith(f"{bad}: not UTF-8 text: invalid start byte")
+
+
+def _first_leaf(node, where="root"):
+    while node["type"] != "leaf":
+        node, where = node["left"], f"{where}.left"
+    return node, where
+
+
+def _set_root_test(doc, key, value, kind=None):
+    test = doc["root"]["test"]
+    test[key] = value
+    if kind is not None:
+        test["kind"] = kind
+    return f"root.test.{key}"
+
+
+def _set_leaf(doc, key, value):
+    leaf, where = _first_leaf(doc["root"])
+    leaf[key] = value
+    return f"{where}.{key}"
+
+
+def _set_class_labels(doc, value):
+    doc["class_labels"] = value
+    return "class_labels"
+
+
+@pytest.mark.parametrize("hostile", [
+    lambda doc: _set_leaf(doc, "counts", [3]),
+    lambda doc: _set_leaf(doc, "counts", [0, 0]),
+    lambda doc: _set_leaf(doc, "counts", [-1, 5]),
+    lambda doc: _set_leaf(doc, "counts", [1.5, 2]),
+    lambda doc: _set_leaf(doc, "counts", "12"),
+    lambda doc: _set_leaf(doc, "prediction", 7),
+    lambda doc: _set_leaf(doc, "prediction", -1),
+    lambda doc: _set_leaf(doc, "prediction", True),
+    lambda doc: _set_root_test(doc, "threshold", "abc", kind="numeric_le"),
+    lambda doc: _set_root_test(doc, "threshold", True, kind="numeric_le"),
+    lambda doc: _set_root_test(doc, "threshold", float("nan"), kind="numeric_le"),
+    lambda doc: _set_root_test(doc, "value", 7, kind="categorical_eq"),
+    lambda doc: _set_root_test(doc, "value", None, kind="categorical_eq"),
+    lambda doc: _set_root_test(doc, "undefined_route", "sideways"),
+    lambda doc: _set_root_test(doc, "kind", "range"),
+    lambda doc: _set_class_labels(doc, "ab"),
+    lambda doc: _set_class_labels(doc, ["no", 1]),
+])
+def test_hostile_model_document_exits_one_naming_the_field(school_paths, tmp_path, capsys, hostile):
+    data = ["--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths)]
+    model = tmp_path / "model.json"
+    assert run(["learn", *data, "--out", str(model)]) == 0
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert doc["root"]["type"] == "inner" and len(doc["class_labels"]) == 2
+    where = hostile(doc)
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model), *data, "--out", str(tmp_path / "preds.csv")]) == 1
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: invalid model document: {where}: ")

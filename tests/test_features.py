@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import aggregate_categorical, aggregate_numeric, naive_numeric, random_micro_db
+from oracles import aggregate_categorical, aggregate_numeric, flat_cells, naive_numeric, random_micro_db
 
+from reltree.eager import enumerate_paths
 from reltree.features import (
     Agg,
+    BagAggregates,
     FeatureDescriptor,
     contains_enabled,
     feature_cells,
     features_for_path,
-    _numeric_columns,
+    path_descriptors,
 )
 from reltree.joinpath import (
     JoinPath,
@@ -112,21 +114,22 @@ def test_vectorized_numeric_matches_scalar(bags):
     missing = np.array([v is None for v in flat], dtype=bool)
 
     vb = ValueBags(offsets=offsets, kind="numeric", values=values, missing=missing)
-    cols = {c.descriptor.agg: c for c in _numeric_columns(JoinPath(start="T"), "a", vb)}
     field = {
         Agg.AVG: "avg", Agg.STD: "std", Agg.VAR: "var", Agg.MAX: "max",
         Agg.MIN: "min", Agg.SUM: "sum", Agg.COUNT: "count",
     }
+    aggregates = BagAggregates(vb)
+    cols = {agg: aggregates.cells(FeatureDescriptor(JoinPath(start="T"), "a", agg))[1:] for agg in field}
     for i, bag in enumerate(bags):
         scalar = aggregate_numeric(bag)
         for agg, name in field.items():
             want = getattr(scalar, name)
-            col = cols[agg]
+            values, defined = cols[agg]
             if want is None:
-                assert not col.defined[i]
+                assert not defined[i]
             else:
-                assert col.defined[i]
-                assert col.values[i] == pytest.approx(want, rel=1e-9, abs=1e-9)
+                assert defined[i]
+                assert values[i] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 @given(st.lists(st.one_of(st.none(), st.sampled_from("abcd")), max_size=30))
@@ -316,3 +319,21 @@ def test_feature_cells_equal_training_columns_bit_for_bit():
                 assert got.values[col.defined].tobytes() == col.values[col.defined].tobytes()
             if path.hops:
                 queue.extend(candidate_extensions(catalog, path))
+
+
+@pytest.mark.parametrize("domsize_abs", [40, 0])
+def test_path_descriptors_name_the_oracle_features_in_descriptor_order(domsize_abs):
+    """Without a join, each path's descriptors are the oracle's features of that path."""
+    params = LearnParams(domsize_abs=domsize_abs)
+    for seed in range(20):
+        doc, tables = random_micro_db(seed)
+        catalog = catalog_from_dict(doc)
+        db = build_database(catalog, tables)
+        names = []
+        for path in [empty_path(catalog), *enumerate_paths(catalog, 3)]:
+            descriptors = path_descriptors(db, path, params)
+            assert descriptors == sorted(descriptors, key=FeatureDescriptor.sort_key)
+            assert all(d.path == path for d in descriptors)
+            names += [d.name for d in descriptors]
+        assert len(set(names)) == len(names)
+        assert set(names) == set(flat_cells(doc, tables, 3, domsize_abs=domsize_abs))

@@ -136,6 +136,22 @@ def test_duplicate_primary_key_rejected():
         build_database(catalog_from_dict(school_doc()), rows)
 
 
+def test_duplicate_primary_key_names_the_input_row_of_its_second_occurrence():
+    rows = school_rows()
+    rows["Student"] += [{"SID": "", "grade": "7"}, {"SID": "s2", "grade": "5"}]  # the rejected row still counts
+    with pytest.raises(DataError) as info:
+        build_database(catalog_from_dict(school_doc()), rows)
+    assert str(info.value) == f"table Student column SID row {len(rows['Student'])}: duplicate primary key value 's2'"
+
+
+def test_duplicate_primary_key_in_a_csv_names_the_line_of_its_second_occurrence(school_dir):
+    (school_dir / "student.csv").write_text("SID,grade\ns0,8\n\n,9\ns1,10\ns0,12\ns1,3\n", encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    with pytest.raises(DataError) as info:
+        load_database(catalog, school_dir)
+    assert str(info.value) == f"{school_dir / 'student.csv'} line 6: column SID: duplicate primary key value 's0'"
+
+
 def test_bad_numeric_token_reports_location():
     rows = school_rows()
     rows["Student"][2]["grade"] = "twelve"
