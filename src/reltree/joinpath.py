@@ -75,15 +75,19 @@ def empty_path(catalog: SchemaCatalog) -> JoinPath:
     return JoinPath(start=catalog.target_table)
 
 
-def _hop_from(adj, table: str) -> Hop:
-    return Hop(
-        from_table=table,
-        from_column=adj.column,
-        to_table=adj.neighbor,
-        to_column=adj.neighbor_column,
-        label=adj.fk_column,
-        many_to_one=adj.to_primary,
-    )
+def hops_from(catalog: SchemaCatalog, table: str) -> list[Hop]:
+    """Every hop out of ``table`` along a foreign key of the schema, in either direction."""
+    return [
+        Hop(
+            from_table=table,
+            from_column=adj.column,
+            to_table=adj.neighbor,
+            to_column=adj.neighbor_column,
+            label=adj.fk_column,
+            many_to_one=adj.to_primary,
+        )
+        for adj in neighbors(catalog, table)
+    ]
 
 
 def _walk(catalog: SchemaCatalog, depths: dict[str, int], path: JoinPath) -> list[JoinPath]:
@@ -91,11 +95,11 @@ def _walk(catalog: SchemaCatalog, depths: dict[str, int], path: JoinPath) -> lis
     terminal = path.terminal_table
     visited = set(path.tables)
     out: list[JoinPath] = []
-    for adj in neighbors(catalog, terminal):
-        if adj.neighbor in visited or depths.get(adj.neighbor, -1) <= depths[terminal]:
+    for hop in hops_from(catalog, terminal):
+        if hop.to_table in visited or depths.get(hop.to_table, -1) <= depths[terminal]:
             continue
-        ext = path.extended(_hop_from(adj, terminal))
-        out.extend(_walk(catalog, depths, ext) if is_associative(catalog, adj.neighbor) else [ext])
+        ext = path.extended(hop)
+        out.extend(_walk(catalog, depths, ext) if is_associative(catalog, hop.to_table) else [ext])
     return out
 
 

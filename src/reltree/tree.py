@@ -8,8 +8,11 @@ side scores the higher gain (ties go to fail) and the node remembers that
 routing so prediction can follow it.  A node's split search builds the
 candidates of all columns of one kind from that kind's block of the LDT at
 once, as rows of class counts, with a fixed number of numpy calls per kind;
-it then scores every row with one vectorized pass and picks the first row of
-highest gain in descriptor order.
+it then scores every row under the fail routing with one entropy pass, and
+under the pass routing only the rows that leave some instance undefined (on
+the others both routings make the same two sides, so the same gain, and the
+tie goes to fail), and picks the first row of highest gain in descriptor
+order.
 
 Growth follows the lazy scheme: try to split on the columns at hand, and only
 when no test clears the gain threshold extend the node's table with features
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -30,15 +34,16 @@ from .features import (
     BOOLEAN,
     CATEGORICAL,
     NUMERIC,
+    Agg,
     FeatureColumn,
     FeatureDescriptor,
     feature_cells,
 )
-from .joinpath import Hop, JoinInstantiation, JoinPath, join_hop
+from .joinpath import Hop, JoinInstantiation, JoinPath, hops_from, join_hop
 from .ldt import LocalDataTable, build_root_ldt, extend_ldt, partition_ldt
 from .params import LearnParams, params_doc
 from .schema import fingerprint
-from .storage import Database
+from .storage import Database, KeyColumn, NumericColumn
 
 MODEL_FORMAT = "reltree-model"
 MODEL_VERSION = 2
@@ -64,12 +69,18 @@ def entropy(counts) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    # An all-zero row divides by 1, so its p is 0 and its entropy 0.
-    p = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+def _weighted_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(size, size x entropy in bits) of each row of a float64 block of class counts.
+
+    The block is overwritten with each row's class shares.  An all-zero row
+    divides by 1, so its shares are 0 and both results are 0.  Each row is
+    computed on its own, so its result does not depend on the other rows.
+    """
+    sizes = counts.sum(axis=1)
+    p = np.divide(counts, np.maximum(sizes, 1)[:, None], out=counts)
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0)
-    return -np.multiply(p, logs, out=logs).sum(axis=1)
+    return sizes, sizes * -np.multiply(p, logs, out=logs).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -82,26 +93,45 @@ class SplitTest:
     undefined_route: str = "fail"  # "pass" | "fail"
 
 
+def _gains(pass_counts, fail_counts, undef_counts, rows, undef_passes: bool, n: int, h_parent: float) -> np.ndarray:
+    """Gain of the candidate rows ``rows`` with their undefined instances on the pass or the fail side.
+
+    Both sides go into one float64 block, and one entropy pass scores them;
+    counts are integers, so the block holds them exactly.  A candidate with
+    an empty side scores -inf.
+    """
+    sides = np.concatenate((pass_counts[rows], fail_counts[rows]), dtype=np.float64)
+    m = len(sides) // 2
+    undefined_side = sides[:m] if undef_passes else sides[m:]
+    undefined_side += undef_counts[rows]
+    sizes, weighted = _weighted_entropies(sides)
+    ig = h_parent - (weighted[:m] + weighted[m:]) / n
+    ig[(sizes[:m] == 0) | (sizes[m:] == 0)] = -np.inf
+    return ig
+
+
 def _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent):
-    """Gain of each candidate row under both undefined routings.
+    """Gain of each candidate row under the better of the two undefined routings.
 
     Row ``i`` counts, per class, the defined instances that pass and fail
     candidate ``i`` and the instances it leaves undefined.  Returns (ig,
     route_is_pass); candidates where neither routing yields two nonempty
-    sides score -inf.  Entropy is computed row by row, so a row's gain does
-    not depend on the other rows scored with it.
+    sides score -inf.  The fail routing is scored on every row, in one
+    entropy pass.  The pass routing is scored, in a second pass, only on
+    the rows with a nonzero undefined count: on any other row both routings
+    make the same two sides, so the same gain, and a tie goes to fail, so
+    skipping it there changes no gain and no route.  Entropy is computed row
+    by row, so a row's gain does not depend on the other rows scored with it.
     """
-
-    def ig_of(left, right):
-        nl = left.sum(axis=1)
-        nr = right.sum(axis=1)
-        h = h_parent - (nl * _entropy_rows(left) + nr * _entropy_rows(right)) / n
-        return np.where((nl > 0) & (nr > 0), h, -np.inf)
-
-    ig_fail = ig_of(pass_counts, fail_counts + undef_counts)
-    ig_pass = ig_of(pass_counts + undef_counts, fail_counts)
-    route_is_pass = ig_pass > ig_fail  # ties routed to fail
-    return np.where(route_is_pass, ig_pass, ig_fail), route_is_pass
+    ig = _gains(pass_counts, fail_counts, undef_counts, slice(None), False, n, h_parent)
+    route_is_pass = np.zeros(len(ig), dtype=bool)
+    rows = np.flatnonzero(undef_counts.any(axis=1))
+    if rows.size:
+        ig_pass = _gains(pass_counts, fail_counts, undef_counts, rows, True, n, h_parent)
+        better = ig_pass > ig[rows]  # ties routed to fail
+        route_is_pass[rows] = better
+        ig[rows[better]] = ig_pass[better]
+    return ig, route_is_pass
 
 
 def _numeric_candidates(values: np.ndarray, defined: np.ndarray, labels: np.ndarray, parent: np.ndarray):
@@ -187,20 +217,25 @@ def _boolean_candidates(values, defined, labels, parent):
     return slots, counts[slots, 1], parent - counts[slots].sum(axis=1), None
 
 
-def best_split(ldt: LocalDataTable, params: LearnParams) -> tuple[SplitTest, float] | None:
+def best_split(
+    ldt: LocalDataTable, params: LearnParams, counts: np.ndarray | None = None, h: float | None = None
+) -> tuple[SplitTest, float] | None:
     """Highest-gain valid test over the LDT's columns, or None.
+
+    ``counts`` and ``h`` are the node's class counts and their entropy, which
+    the caller may pass in when it has them; otherwise they are computed here.
 
     Each kind's block yields the candidate rows of all its columns at once:
     numeric thresholds by ascending value, categorical value codes ascending,
-    one true-test per boolean column.  All rows are scored in one pass.  A
-    row's gain does not depend on the rows scored with it, so the winner is
+    one true-test per boolean column.  All rows are scored together by one
+    :func:`_score_candidates` call.  A row's gain does not depend on the rows scored with it, so the winner is
     the first row of highest gain in descriptor order (each column's rank in
     the layout), then by lower threshold / value code: gain ties between
     tests break by descriptor order.
     """
     n = len(ldt)
     labels = ldt.labels
-    parent = np.bincount(labels, minlength=ldt.n_classes)
+    parent = np.bincount(labels, minlength=ldt.n_classes) if counts is None else counts
     layout = ldt.layout
     found = []
     for kind, (values, defined) in ldt.blocks.items():
@@ -217,7 +252,7 @@ def best_split(ldt: LocalDataTable, params: LearnParams) -> tuple[SplitTest, flo
     pass_counts = np.concatenate([f[2] for f in found])
     undef_counts = np.concatenate([f[3] for f in found])
     fail_counts = parent - undef_counts - pass_counts
-    ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, entropy(parent))
+    ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, entropy(parent) if h is None else h)
     best = ig.max()
     if not np.isfinite(best):
         return None
@@ -267,6 +302,8 @@ class TreeModel:
     class_labels: tuple[str, ...]
     schema_fingerprint: str
     descriptors: tuple[FeatureDescriptor, ...]
+    # The database ``check_compatible`` last found the model to fit.
+    _fits: weakref.ref | None = field(default=None, init=False, repr=False)
 
     def iter_nodes(self):
         stack = [self.root]
@@ -286,8 +323,7 @@ class TreeModel:
         return _compile(self)
 
 
-def _leaf(ldt: LocalDataTable) -> LeafNode:
-    counts = np.bincount(ldt.labels, minlength=ldt.n_classes)
+def _leaf(counts: np.ndarray) -> LeafNode:
     return LeafNode(counts=tuple(int(c) for c in counts), prediction=int(np.argmax(counts)))
 
 
@@ -296,20 +332,24 @@ def _clears(found: tuple[SplitTest, float] | None, params: LearnParams) -> bool:
 
 
 def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, used: frozenset) -> TreeNode:
+    # The node's class counts and entropy, computed once: an extension adds
+    # columns, not instances, so both searches below share them.
+    counts = np.bincount(ldt.labels, minlength=ldt.n_classes)
     if depth >= params.max_depth or len(ldt) < params.min_inst:
-        return _leaf(ldt)
+        return _leaf(counts)
     # A split's gain never exceeds the node entropy, so when that bound
     # already fails the threshold no extension can help: leaf immediately.
-    if entropy(np.bincount(ldt.labels, minlength=ldt.n_classes)) <= params.min_ig:
-        return _leaf(ldt)
-    found = best_split(ldt, params)
+    h = entropy(counts)
+    if h <= params.min_ig:
+        return _leaf(counts)
+    found = best_split(ldt, params, counts, h)
     if not _clears(found, params):
         extended = extend_ldt(db, ldt, params, used)
         if extended is not None:
             ldt = extended
-            found = best_split(ldt, params)
+            found = best_split(ldt, params, counts, h)
     if not _clears(found, params):
-        return _leaf(ldt)
+        return _leaf(counts)
     test, ig = found
     left, right = partition_ldt(ldt, test)
     used2 = used | {test.descriptor.path}
@@ -400,7 +440,8 @@ class _Router:
 
 
 def _compile(model: TreeModel) -> _Router:
-    slots: dict[FeatureDescriptor, int] = {}
+    # Slot i is model.descriptors[i], so a slot names its descriptor's field path.
+    slots: dict[FeatureDescriptor, int] = {d: i for i, d in enumerate(model.descriptors)}
     path_index: dict[JoinPath, int] = {}
     parents: list[int] = []
     inner: list = []
@@ -520,9 +561,90 @@ def _route(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
     return out
 
 
+def _misfit(where: str, problem: str) -> ModelMismatchError:
+    return ModelMismatchError(f"model does not fit the database: {where}: {problem}")
+
+
+def _descriptor_kind(db: Database, d: FeatureDescriptor, where: str, hops: dict[str, list[Hop]]) -> str:
+    """The kind of the cells ``d`` has on ``db``, or a ModelMismatchError naming ``where``.
+
+    Every hop of the path must follow a foreign key of the schema from the
+    table the path has reached, and every feature but is-empty must read an
+    attribute (a column that is not a key) of the path's terminal table;
+    an identity feature also needs a path of many-to-one hops.  ``hops``
+    caches :func:`hops_from` per table.
+    """
+    table = db.catalog.target_table
+    if d.path.start != table:
+        raise _misfit(f"{where}.path.start", f"the target table is {table!r}, not {d.path.start!r}")
+    for j, hop in enumerate(d.path.hops):
+        if table not in hops:
+            hops[table] = hops_from(db.catalog, table)
+        if hop not in hops[table]:
+            raise _misfit(f"{where}.path.hops[{j}]", f"no foreign key of the schema joins {table} to {hop.to_table}"
+                          f" on {hop.from_column} = {hop.to_column}")
+        table = hop.to_table
+    if d.agg is Agg.IS_EMPTY:
+        return BOOLEAN
+    col = db.tables[table].columns.get(d.attribute)
+    if col is None or isinstance(col, KeyColumn):
+        raise _misfit(f"{where}.attribute", f"table {table} has no attribute {d.attribute!r}")
+    if d.agg is Agg.IDENTITY:
+        if not d.path.determinate:
+            raise _misfit(f"{where}.agg", "an identity feature needs a path of many-to-one hops")
+        return NUMERIC if isinstance(col, NumericColumn) else CATEGORICAL
+    return BOOLEAN if d.agg is Agg.CONTAINS else NUMERIC
+
+
+# A router node's (is_le, operand is True) -> its test kind and the kind of cells that test compares.
+_ROUTER_TESTS = {
+    (True, False): ("numeric_le", NUMERIC),
+    (False, True): ("boolean_true", BOOLEAN),
+    (False, False): ("categorical_eq", CATEGORICAL),
+}
+
+
+def _inner_where(root: TreeNode, k: int) -> str:
+    """Field path of the router's inner node ``k``: the ``k``-th inner node in preorder, left child first."""
+    stack = [(root, "root")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, InnerNode):
+            if k == 0:
+                return where
+            k -= 1
+            stack += [(node.right, f"{where}.right"), (node.left, f"{where}.left")]
+    raise IndexError(k)
+
+
+def _check_fits(model: TreeModel, db: Database) -> None:
+    """ModelMismatchError naming the first descriptor or test that ``db`` cannot compute or compare.
+
+    Tests are read from the router, as prediction reads them: ``<=`` needs
+    numeric cells, ``== True`` boolean ones and ``==`` a value categorical ones.
+    """
+    router = model._router
+    hops: dict[str, list[Hop]] = {}
+    kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]", hops) for slot, d in enumerate(router.descriptors)]
+    for k, (slot, is_le, operand, *_) in enumerate(router.inner):
+        test, needs = _ROUTER_TESTS[is_le, operand is True]
+        if kinds[slot] != needs:
+            raise _misfit(f"{_inner_where(model.root, k)}.test.kind",
+                          f"a {test} test on the {kinds[slot]} feature descriptors[{slot}]")
+
+
 def check_compatible(model: TreeModel, db: Database) -> None:
+    """Raise ModelMismatchError unless ``db`` can compute every feature the model tests, as its tests read them.
+
+    The schema fingerprint is compared on every call; the descriptors and
+    tests are checked against ``db`` once, until the model meets another
+    database.
+    """
     if fingerprint(db.catalog) != model.schema_fingerprint:
         raise ModelMismatchError("database schema does not match the model's schema fingerprint")
+    if model._fits is None or model._fits() is not db:
+        _check_fits(model, db)
+        model._fits = weakref.ref(db)
 
 
 def _outside(instance: int, n_rows: int) -> ValueError:
@@ -603,12 +725,21 @@ def _get(obj, key: str, where: str):
     return obj[key]
 
 
+def _text(obj, key: str, where: str, optional: bool = False):
+    """The string ``obj[key]`` (or None, when ``optional``) of the object at field path ``where``."""
+    value = _get(obj, key, where)
+    if not isinstance(value, str) and not (optional and value is None):
+        raise _invalid(f"{where}.{key}", f"expected a string{' or null' if optional else ''}, not {value!r}")
+    return value
+
+
 def _path_from_doc(doc: dict, where: str) -> JoinPath:
     hops = []
     for i, h in enumerate(_get(doc, "hops", where)):
-        hop = {k: _get(h, k, f"{where}.hops[{i}]") for k in _HOP_FIELDS}
-        hops.append(Hop(**{**hop, "many_to_one": bool(hop["many_to_one"])}))
-    return JoinPath(start=_get(doc, "start", where), hops=tuple(hops), determinate=all(h.many_to_one for h in hops))
+        at = f"{where}.hops[{i}]"
+        hop = {k: _text(h, k, at) for k in _HOP_FIELDS if k != "many_to_one"}
+        hops.append(Hop(**hop, many_to_one=bool(_get(h, "many_to_one", at))))
+    return JoinPath(start=_text(doc, "start", where), hops=tuple(hops), determinate=all(h.many_to_one for h in hops))
 
 
 def _descriptor_from_doc(doc: dict, where: str) -> FeatureDescriptor:
@@ -616,8 +747,8 @@ def _descriptor_from_doc(doc: dict, where: str) -> FeatureDescriptor:
     if agg not in _AGG_BY_NAME:
         raise _invalid(f"{where}.agg", f"unknown aggregator {agg!r}")
     path = _path_from_doc(_get(doc, "path", where), f"{where}.path")
-    return FeatureDescriptor(path=path, attribute=_get(doc, "attribute", where), agg=_AGG_BY_NAME[agg],
-                             value=_get(doc, "value", where))
+    return FeatureDescriptor(path=path, attribute=_text(doc, "attribute", where, optional=True),
+                             agg=_AGG_BY_NAME[agg], value=_text(doc, "value", where, optional=True))
 
 
 def _node_doc(node: TreeNode, desc_index: dict[FeatureDescriptor, int]) -> dict:

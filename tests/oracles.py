@@ -6,8 +6,10 @@ of one multiset, recursive path enumeration, a brute-force split evaluator,
 a row-at-a-time database builder and a row-at-a-time router.  Only the router
 reads the package's loaded database, one cell at a time, and only the builder
 builds one (with the package's key index); none of it uses the vectorized
-code paths.  The one exception is ``per_column_best_split``, the split search
-that the engine's one-pass search replaced, kept for a differential test.
+code paths.  The exceptions are ``per_column_best_split``, the split search
+that the engine's one-pass search replaced, and its ``_score_column``, which
+scores both undefined routings of every candidate, kept for differential
+tests.
 """
 
 from __future__ import annotations
@@ -501,7 +503,12 @@ def _entropy_rows(counts):
 
 
 def _score_column(pass_counts, fail_counts, undef_counts, n, h_parent):
-    undef = undef_counts[None, :].astype(np.float64)
+    """(ig, route_is_pass) of count rows, both undefined routings scored on every row: four entropy passes.
+
+    ``undef_counts`` is one column's undefined counts (a vector shared by its
+    rows) or one row of undefined counts per candidate.
+    """
+    undef = np.atleast_2d(undef_counts).astype(np.float64)
 
     def ig_of(left, right):
         nl = left.sum(axis=1)

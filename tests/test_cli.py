@@ -286,3 +286,47 @@ def test_hostile_model_document_exits_one_naming_the_field(school_paths, tmp_pat
     err = capsys.readouterr().err
     [line] = err.splitlines()
     assert line.startswith(f"error: invalid model document: {where}: ")
+
+
+def _set_descriptor(doc, i, key, value):
+    doc["descriptors"][i][key] = value
+    return f"descriptors[{i}].{key}"
+
+
+def _set_hop(doc, i, key, value):
+    doc["descriptors"][i]["path"]["hops"][0][key] = value
+    return f"descriptors[{i}].path.hops[0]"
+
+
+def _numeric_test_on_categorical(doc):
+    test = doc["root"]["test"]
+    assert doc["descriptors"][test["descriptor"]]["name"].endswith(".genre:identity")
+    test.update(kind="numeric_le", threshold=1.0)
+    return "root.test.kind"
+
+
+@pytest.mark.parametrize("misfit", [
+    lambda doc: _set_descriptor(doc, 0, "attribute", "bogus"),
+    lambda doc: _set_descriptor(doc, 1, "attribute", "MID"),  # a key, not an attribute
+    lambda doc: _set_hop(doc, 0, "to_table", "Nope"),
+    lambda doc: _set_hop(doc, 1, "to_column", "Nope"),
+    lambda doc: _set_hop(doc, 0, "many_to_one", True),  # Course is reached one-to-many
+    _numeric_test_on_categorical,
+])
+def test_model_that_does_not_fit_the_database_exits_one_naming_the_field(school_paths, tmp_path, capsys, misfit):
+    """A well-formed model whose features the database cannot compute, or its tests compare, is one error line."""
+    data = ["--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths)]
+    model = tmp_path / "model.json"
+    assert run(["learn", *data, "--out", str(model)]) == 0
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert [d["name"] for d in doc["descriptors"]] == [
+        "Professor->Course(PID)->Enrolled(CID)->Student(SID).grade:avg", "Professor->Movie(MID).genre:identity",
+    ]
+    where = misfit(doc)
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model), *data, "--out", str(tmp_path / "preds.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: model does not fit the database: {where}: ")

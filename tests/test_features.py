@@ -9,6 +9,8 @@ from oracles import aggregate_categorical, aggregate_numeric, flat_cells, naive_
 
 from reltree.eager import enumerate_paths
 from reltree.features import (
+    BOOLEAN,
+    CATEGORICAL,
     Agg,
     BagAggregates,
     FeatureDescriptor,
@@ -300,25 +302,48 @@ def test_is_empty_sorts_before_attribute_columns(school_catalog, school_db):
     assert aggs == [Agg.AVG, Agg.STD, Agg.VAR, Agg.MAX, Agg.MIN, Agg.SUM, Agg.COUNT]
 
 
-def test_feature_cells_equal_training_columns_bit_for_bit():
-    """Prediction's single-descriptor cells are training's columns, exactly."""
+def _oracle_cells(col):
+    """A feature column as the oracle writes it: None where undefined, else a bool, a value string or a float."""
+    cells = []
+    for i in range(len(col)):
+        if not col.defined[i]:
+            cells.append(None)
+        elif col.kind == BOOLEAN:
+            cells.append(bool(col.values[i]))
+        elif col.kind == CATEGORICAL:
+            cells.append(col.dictionary[int(col.values[i])])
+        else:
+            cells.append(float(col.values[i]))
+    return cells
+
+
+# Aggregates the oracle computes with other arithmetic (fmean, pvariance, fsum).
+_ROUNDED = (Agg.AVG, Agg.STD, Agg.VAR, Agg.SUM)
+
+
+def test_feature_cells_equal_the_oracle_cells():
+    """Each descriptor's cells, computed one at a time as prediction does, are the brute-force oracle's."""
+    params = LearnParams()
     for seed in range(40):
         doc, tables = random_micro_db(seed)
         catalog = catalog_from_dict(doc)
         db = build_database(catalog, tables)
+        expected = flat_cells(doc, tables, 3)
         cache = {empty_path(catalog): root_instantiation(db)}
-        queue = [empty_path(catalog)] + list(initial_paths(catalog))
-        while queue:
-            path = queue.pop()
+        names = set()
+        for path in [empty_path(catalog), *enumerate_paths(catalog, 3)]:
             inst = instantiate(db, path, cache)
             aggregates = {}
-            for col in features_for_path(db, inst, LearnParams()):
-                got = feature_cells(db, inst, col.descriptor, aggregates)
-                assert got.kind == col.kind and got.dictionary == col.dictionary
-                assert np.array_equal(got.defined, col.defined)
-                assert got.values[col.defined].tobytes() == col.values[col.defined].tobytes()
-            if path.hops:
-                queue.extend(candidate_extensions(catalog, path))
+            for d in reversed(path_descriptors(db, path, params)):  # not training's order
+                got, want = _oracle_cells(feature_cells(db, inst, d, aggregates)), expected[d.name]
+                names.add(d.name)
+                assert len(got) == len(want), d.name
+                for a, b in zip(got, want):
+                    if d.agg in _ROUNDED and a is not None and b is not None:
+                        assert a == pytest.approx(b, rel=1e-9, abs=1e-12), d.name
+                    else:
+                        assert a == b and type(a) is type(b), d.name
+        assert names == set(expected)
 
 
 @pytest.mark.parametrize("domsize_abs", [40, 0])

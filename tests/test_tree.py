@@ -1,19 +1,23 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_split, per_column_best_split
+from oracles import _score_column, exhaustive_split, per_column_best_split, random_micro_db
 
-from reltree.eager import propositionalize
+from reltree import tree
+from reltree.eager import propositionalize, train_flat
 from reltree.evaluate import SchoolSpec, generate_school_db
 from reltree.features import BOOLEAN, CATEGORICAL, NUMERIC, Agg, FeatureColumn, FeatureDescriptor
 from reltree.joinpath import JoinPath
 from reltree.ldt import LocalDataTable, partition_ldt
-from reltree.params import LearnParams
+from reltree.params import RESTRICTED, UNRESTRICTED, LearnParams
+from reltree.schema import catalog_from_dict
+from reltree.storage import build_database
 from reltree.tree import (
     MODEL_VERSION,
     InnerNode,
@@ -172,6 +176,82 @@ def _split_search_ldts(draw):
 def test_best_split_equals_the_per_column_search(ldt):
     """The block search picks exactly the test and gain of the column-at-a-time search."""
     assert best_split(ldt, PARAMS) == per_column_best_split(ldt)
+
+
+@st.composite
+def _count_rows(draw):
+    """(pass, fail, undefined) int64 count rows of 2 to 4 classes, with empty sides and zero undefined rows."""
+    n_classes = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 12))
+    counts = st.lists(st.integers(0, 5), min_size=n_classes, max_size=n_classes)
+    sides = []
+    for _ in range(m):
+        row = [draw(counts) for _ in range(3)]
+        for side in draw(st.sets(st.sampled_from([0, 1, 2]))):  # all-zero sides, and rows without undefined
+            row[side] = [0] * n_classes
+        sides.append(row)
+    pass_counts, fail_counts, undef_counts = (np.array([r[k] for r in sides], dtype=np.int64) for k in range(3))
+    return pass_counts, fail_counts, undef_counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_rows(), st.integers(1, 60), st.floats(0.0, 2.0))
+def test_score_candidates_equals_scoring_both_routings_of_every_row(rows, n, h_parent):
+    """Skipping the pass routing where nothing is undefined changes no gain and no route, bit for bit."""
+    ig, route_is_pass = tree._score_candidates(*rows, n, h_parent)
+    want_ig, want_route = _score_column(*rows, n, h_parent)
+    assert ig.tobytes() == want_ig.tobytes()
+    assert (ig == want_ig).all() and (route_is_pass == want_route).all()
+
+
+def _count_entropy_passes(monkeypatch):
+    """The number of count rows of each entropy pass, in order."""
+    rows = []
+    weighted = tree._weighted_entropies
+
+    def counted(counts):
+        rows.append(len(counts))
+        return weighted(counts)
+
+    monkeypatch.setattr(tree, "_weighted_entropies", counted)
+    return rows
+
+
+def test_a_node_without_undefined_cells_scores_in_one_entropy_pass(monkeypatch):
+    passes = _count_entropy_passes(monkeypatch)
+    ldt = _ldt_from_columns([("numeric", [1.0, 2.0, 3.0, 4.0], None), ("categorical", list("abab"), "ab")],
+                            [0, 0, 1, 1])
+    assert best_split(ldt, PARAMS) is not None
+    assert passes == [2 * 5]  # both sides of 3 thresholds and 2 values
+
+
+def test_the_pass_routing_is_scored_only_on_rows_with_undefined_instances(monkeypatch):
+    passes = _count_entropy_passes(monkeypatch)
+    pass_counts = np.array([[1, 0], [2, 1], [0, 3], [1, 1]])
+    undef_counts = np.array([[0, 0], [1, 0], [0, 0], [0, 2]])
+    tree._score_candidates(pass_counts, 4 - pass_counts - undef_counts, undef_counts, 8, 1.0)
+    assert passes == [2 * 4, 2 * 2]
+
+
+def _models(db, params):
+    return [
+        serialize_model(grow_tree(db, replace(params, strategy=RESTRICTED))),
+        serialize_model(grow_tree(db, replace(params, strategy=UNRESTRICTED))),
+        serialize_model(train_flat(db, None, params)),
+    ]
+
+
+def test_models_equal_those_grown_scoring_both_routings_of_every_row(monkeypatch):
+    """Restricted, unrestricted and eager models are byte-identical under the four-pass reference scoring."""
+    dbs = [generate_school_db(1, SchoolSpec()).db]
+    for seed in range(30):
+        doc, tables = random_micro_db(seed)
+        dbs.append(build_database(catalog_from_dict(doc), tables))
+    params = LearnParams(min_inst=2)
+    got = [_models(db, params) for db in dbs]
+    monkeypatch.setattr(tree, "_score_candidates", _score_column)
+    assert got == [_models(db, params) for db in dbs]
+    assert any('"undefined_route": "pass"' in doc for models in got for doc in models)
 
 
 def test_threshold_between_infinities_splits_where_the_values_do():
