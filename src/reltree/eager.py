@@ -76,13 +76,8 @@ def propositionalize(
     else:
         ids = np.sort(np.asarray(instance_ids, dtype=np.int64))
 
-    label_ids, label_codes, classes = target_labels(db)
-    labels = np.full(len(ids), -1, dtype=np.int64)
-    pos = {int(r): i for i, r in enumerate(ids)}
-    for r, c in zip(label_ids, label_codes):
-        i = pos.get(int(r))
-        if i is not None:
-            labels[i] = c
+    _, _, classes = target_labels(db)  # raises unless the target attribute is categorical
+    labels = db.tables[target].columns[db.catalog.target_attribute].codes[ids]  # -1 where missing
 
     root = root_instantiation(db, ids)
     cache: dict[JoinPath, JoinInstantiation] = {root.path: root}
@@ -98,7 +93,8 @@ def propositionalize(
             )
         columns.extend(new_cols)
 
-    columns.sort(key=lambda c: c.descriptor.sort_key())
+    # Already in descriptor order: paths come sorted, the root's render is a
+    # prefix of every other path's, and each path's features come sorted.
     return FlatTable(instance_ids=ids, labels=labels, class_labels=classes, columns=columns)
 
 

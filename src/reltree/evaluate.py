@@ -43,15 +43,14 @@ def stratified_folds(labels, k: int, seed: int) -> list[np.ndarray]:
     if k > n:
         raise ValueError(f"k={k} exceeds the number of instances ({n})")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(n, dtype=np.int64)
     pointer = 0
     for cls in np.unique(y):
         idx = np.nonzero(y == cls)[0]
         rng.shuffle(idx)
-        for i in idx:
-            folds[pointer % k].append(int(i))
-            pointer += 1
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+        fold_of[idx] = (pointer + np.arange(len(idx))) % k
+        pointer += len(idx)
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
 @dataclass

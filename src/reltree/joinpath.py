@@ -38,7 +38,11 @@ class Hop:
 class JoinPath:
     start: str
     hops: tuple[Hop, ...] = ()
-    determinate: bool = True
+
+    @property
+    def determinate(self) -> bool:
+        """True when every hop is many-to-one, so each instance reaches one terminal row at most."""
+        return all(h.many_to_one for h in self.hops)
 
     @property
     def terminal_table(self) -> str:
@@ -58,11 +62,10 @@ class JoinPath:
     def extended(self, hop: Hop) -> "JoinPath":
         if hop.from_table != self.terminal_table:
             raise ValueError(f"hop from {hop.from_table} does not start at terminal {self.terminal_table}")
-        return JoinPath(self.start, self.hops + (hop,), self.determinate and hop.many_to_one)
+        return JoinPath(self.start, self.hops + (hop,))
 
     def prefix(self, n: int) -> "JoinPath":
-        hops = self.hops[:n]
-        return JoinPath(self.start, hops, all(h.many_to_one for h in hops))
+        return JoinPath(self.start, self.hops[:n])
 
     def render(self) -> str:
         return self.start + "".join(f"->{h.to_table}({h.label})" for h in self.hops)
@@ -130,8 +133,9 @@ def _gather(source: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tupl
 class JoinInstantiation:
     """Per-instance bags of terminal row ids, stored flat.
 
-    ``instance_ids`` are ascending target-table row ids; instance ``i``'s bag
-    is ``rows[offsets[i]:offsets[i+1]]``.
+    ``instance_ids`` are target-table row ids; instance ``i``'s bag is
+    ``rows[offsets[i]:offsets[i+1]]``.  Joins and aggregates work by position,
+    so only :meth:`restrict` needs the ids ascending.
     """
 
     path: JoinPath

@@ -249,18 +249,7 @@ def catalog_from_dict(doc, source: str = "<schema>") -> SchemaCatalog:
         raise SchemaError(f"target attribute {target_table}.{target_attribute} must be categorical, is {tcol.kind}")
 
     # Drop tables unreachable from the target (they can contribute no features).
-    adj: dict[str, set[str]] = {t.name: set() for t in tables}
-    for e in edges:
-        adj[e.fk_table].add(e.pk_table)
-        adj[e.pk_table].add(e.fk_table)
-    reachable = {target_table}
-    queue = deque([target_table])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in reachable:
-                reachable.add(nxt)
-                queue.append(nxt)
+    reachable = _fk_depths(target_table, edges)
     unreachable = tuple(t.name for t in tables if t.name not in reachable)
     if unreachable:
         logger.warning("%s: ignoring tables unreachable from %s: %s", source, target_table, ", ".join(unreachable))
@@ -298,21 +287,26 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
     return f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
 
 
-def table_depths(catalog: SchemaCatalog) -> dict[str, int]:
-    """Shortest-hop distance of every reachable table from the target table."""
-    adj: dict[str, set[str]] = {t.name: set() for t in catalog.tables}
-    for e in catalog.fk_edges:
-        adj[e.fk_table].add(e.pk_table)
-        adj[e.pk_table].add(e.fk_table)
-    depths = {catalog.target_table: 0}
-    queue = deque([catalog.target_table])
+def _fk_depths(start: str, edges) -> dict[str, int]:
+    """Shortest-hop distance from ``start`` of every table the foreign-key ``edges`` connect it to, itself 0."""
+    adj: dict[str, set[str]] = {}
+    for e in edges:
+        adj.setdefault(e.fk_table, set()).add(e.pk_table)
+        adj.setdefault(e.pk_table, set()).add(e.fk_table)
+    depths = {start: 0}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in sorted(adj[cur]):
+        for nxt in sorted(adj.get(cur, ())):
             if nxt not in depths:
                 depths[nxt] = depths[cur] + 1
                 queue.append(nxt)
     return depths
+
+
+def table_depths(catalog: SchemaCatalog) -> dict[str, int]:
+    """Shortest-hop distance of every reachable table from the target table."""
+    return _fk_depths(catalog.target_table, catalog.fk_edges)
 
 
 def neighbors(catalog: SchemaCatalog, table: str) -> list[Adjacency]:

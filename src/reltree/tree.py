@@ -294,6 +294,17 @@ class InnerNode:
 TreeNode = LeafNode | InnerNode
 
 
+def _preorder(root: TreeNode):
+    """Every node under ``root``, itself first, then its left subtree before its right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, InnerNode):
+            stack.append(node.right)
+            stack.append(node.left)
+
+
 @dataclass(eq=False)
 class TreeModel:
     root: TreeNode
@@ -306,13 +317,7 @@ class TreeModel:
     _fits: weakref.ref | None = field(default=None, init=False, repr=False)
 
     def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, InnerNode):
-                stack.append(node.right)
-                stack.append(node.left)
+        return _preorder(self.root)
 
     @property
     def n_nodes(self) -> int:
@@ -362,14 +367,7 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, us
 
 
 def _collect_descriptors(root: TreeNode) -> tuple[FeatureDescriptor, ...]:
-    seen: dict[FeatureDescriptor, None] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, InnerNode):
-            seen.setdefault(node.test.descriptor)
-            stack.append(node.right)
-            stack.append(node.left)
+    seen = {node.test.descriptor for node in _preorder(root) if isinstance(node, InnerNode)}
     return tuple(sorted(seen, key=lambda d: d.sort_key()))
 
 
@@ -420,20 +418,19 @@ class _Router:
     """A model flattened for routing.
 
     Inner node ``i`` is ``inner[i] = (slot, is_le, operand, undefined_left,
-    left, right)``.  Its test reads the cells of ``descriptors[slot]`` and
-    passes on ``cell <= operand`` (numeric) or ``cell == operand`` (boolean
-    and categorical, whose operand is True or the tested value).  A child
-    index ``~k`` (negative) is the leaf whose prediction is ``leaves[k]``.
-    ``paths`` holds every tested path and its prefixes, each after its
-    prefix: ``parents[p]`` is the index of path ``p`` minus its last hop
-    (-1 for the target table itself), and ``slot_paths[slot]`` the index of
-    the slot's path.
+    left, right)``.  Its test reads the cells of the model's
+    ``descriptors[slot]`` and passes on ``cell <= operand`` (numeric) or
+    ``cell == operand`` (boolean and categorical, whose operand is True or
+    the tested value).  A child index ``~k`` (negative) is the leaf whose
+    prediction is ``leaves[k]``.  ``paths`` holds every descriptor's path
+    and its prefixes, each after its prefix: ``parents[p]`` is the index of
+    path ``p`` minus its last hop (-1 for the target table itself), and
+    ``slot_paths[slot]`` the index of the slot's path.
     """
 
     root: int
     inner: tuple[tuple, ...]
     leaves: tuple[Prediction, ...]
-    descriptors: tuple[FeatureDescriptor, ...]
     slot_paths: tuple[int, ...]
     paths: tuple[JoinPath, ...]
     parents: tuple[int, ...]
@@ -441,7 +438,7 @@ class _Router:
 
 def _compile(model: TreeModel) -> _Router:
     # Slot i is model.descriptors[i], so a slot names its descriptor's field path.
-    slots: dict[FeatureDescriptor, int] = {d: i for i, d in enumerate(model.descriptors)}
+    slots = {d: i for i, d in enumerate(model.descriptors)}
     path_index: dict[JoinPath, int] = {}
     parents: list[int] = []
     inner: list = []
@@ -464,12 +461,11 @@ def _compile(model: TreeModel) -> _Router:
         inner.append(None)
         left = visit(node.left)
         right = visit(node.right)
-        slot = slots.setdefault(t.descriptor, len(slots))
-        inner[i] = (slot, t.kind == "numeric_le", operand, t.undefined_route == "pass", left, right)
+        inner[i] = (slots[t.descriptor], t.kind == "numeric_le", operand, t.undefined_route == "pass", left, right)
         return i
 
     root = visit(model.root)
-    for d in slots:
+    for d in model.descriptors:
         for k in range(len(d.path.hops) + 1):
             prefix = d.path.prefix(k)
             if prefix not in path_index:
@@ -479,8 +475,7 @@ def _compile(model: TreeModel) -> _Router:
         root=root,
         inner=tuple(inner),
         leaves=tuple(leaves),
-        descriptors=tuple(slots),
-        slot_paths=tuple(path_index[d.path] for d in slots),
+        slot_paths=tuple(path_index[d.path] for d in model.descriptors),
         paths=tuple(path_index),
         parents=tuple(parents),
     )
@@ -507,13 +502,14 @@ class _Request:
     reference cycle and is freed at once, not by the cyclic collector.
     """
 
-    def __init__(self, router: _Router, db: Database, ids: np.ndarray) -> None:
-        self.router = router
+    def __init__(self, model: TreeModel, db: Database, ids: np.ndarray) -> None:
+        self.router = model._router
+        self.descriptors = model.descriptors
         self.db = db
         self.ids = ids
-        self.instantiations: list[JoinInstantiation | None] = [None] * len(router.paths)
+        self.instantiations: list[JoinInstantiation | None] = [None] * len(self.router.paths)
         self.aggregates: dict[int, dict] = {}
-        self.columns: list[list | None] = [None] * len(router.descriptors)
+        self.columns: list[list | None] = [None] * len(self.descriptors)
 
     def instantiation(self, p: int) -> JoinInstantiation:
         inst = self.instantiations[p]
@@ -530,19 +526,22 @@ class _Request:
 
     def cells(self, slot: int) -> list:
         p = self.router.slot_paths[slot]
-        col = feature_cells(
-            self.db, self.instantiation(p), self.router.descriptors[slot], self.aggregates.setdefault(p, {})
-        )
+        col = feature_cells(self.db, self.instantiation(p), self.descriptors[slot], self.aggregates.setdefault(p, {}))
         cells = self.columns[slot] = _cells(col)
         return cells
 
 
 def _route(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
-    """Predictions for ascending, distinct, valid target-table row ids."""
-    router = model._router
-    request = _Request(router, db, ids)
+    """Predictions for valid target-table row ids, in their order.
+
+    Routing is positional: row ``r`` reads cell ``r`` of each column, so the
+    ids need not be ascending or distinct.  Of the join code only
+    :meth:`JoinInstantiation.restrict` needs ascending ids, and prediction
+    never restricts.
+    """
+    request = _Request(model, db, ids)
     columns = request.columns
-    inner, leaves, root = router.inner, router.leaves, router.root
+    inner, leaves, root = request.router.inner, request.router.leaves, request.router.root
     out = []
     for r in range(len(ids)):
         i = root
@@ -623,10 +622,9 @@ def _check_fits(model: TreeModel, db: Database) -> None:
     Tests are read from the router, as prediction reads them: ``<=`` needs
     numeric cells, ``== True`` boolean ones and ``==`` a value categorical ones.
     """
-    router = model._router
     hops: dict[str, list[Hop]] = {}
-    kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]", hops) for slot, d in enumerate(router.descriptors)]
-    for k, (slot, is_le, operand, *_) in enumerate(router.inner):
+    kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]", hops) for slot, d in enumerate(model.descriptors)]
+    for k, (slot, is_le, operand, *_) in enumerate(model._router.inner):
         test, needs = _ROUTER_TESTS[is_le, operand is True]
         if kinds[slot] != needs:
             raise _misfit(f"{_inner_where(model.root, k)}.test.kind",
@@ -655,9 +653,9 @@ def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     """Route one target-table row through the tree; equals ``predict_many(model, db, [instance])[0]``.
 
     The one id is checked in Python rather than through ``predict_many``'s
-    request arrays, whose numpy calls (``np.unique`` above all) cost more than
-    routing a row through a shallow tree.  Raises ``ValueError`` when the id
-    is not a row of the target table.
+    request arrays, whose numpy calls cost more than routing a row through a
+    shallow tree.  Raises ``ValueError`` when the id is not a row of the
+    target table.
     """
     check_compatible(model, db)
     i = int(instance)
@@ -670,9 +668,9 @@ def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
 def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
     """Predictions for target-table row ids, in request order (duplicates kept).
 
-    The request is columnar: the distinct ids are joined along each path the
-    tree reaches once, and each tested feature is computed once, for all of
-    them, when the first row reaches a node that tests it, by the same code
+    The request is columnar: the ids, as given, are joined along each path
+    the tree reaches once, and each tested feature is computed once, for all
+    of them, when the first row reaches a node that tests it, by the same code
     that built the training columns.  Rows are then routed through the tree
     over those cells.  Raises ``ValueError`` naming the first id that is not
     a row of the target table.  Prediction adds nothing to ``db.stats``.
@@ -687,9 +685,7 @@ def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
     outside = (ids < 0) | (ids >= n_rows)
     if outside.any():
         raise _outside(int(ids[np.argmax(outside)]), n_rows)
-    unique, inverse = np.unique(ids, return_inverse=True)
-    out = _route(model, db, unique)
-    return [out[k] for k in inverse.tolist()]
+    return _route(model, db, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +735,7 @@ def _path_from_doc(doc: dict, where: str) -> JoinPath:
         at = f"{where}.hops[{i}]"
         hop = {k: _text(h, k, at) for k in _HOP_FIELDS if k != "many_to_one"}
         hops.append(Hop(**hop, many_to_one=bool(_get(h, "many_to_one", at))))
-    return JoinPath(start=_text(doc, "start", where), hops=tuple(hops), determinate=all(h.many_to_one for h in hops))
+    return JoinPath(start=_text(doc, "start", where), hops=tuple(hops))
 
 
 def _descriptor_from_doc(doc: dict, where: str) -> FeatureDescriptor:
@@ -861,6 +857,11 @@ def deserialize_model(document: str) -> TreeModel:
         descriptors = tuple(
             _descriptor_from_doc(d, f"descriptors[{i}]") for i, d in enumerate(_get(doc, "descriptors", ""))
         )
+        first: dict[FeatureDescriptor, int] = {}
+        for j, d in enumerate(descriptors):
+            i = first.setdefault(d, j)
+            if i != j:
+                raise _invalid(f"descriptors[{j}]", f"repeats descriptors[{i}]")
         return TreeModel(
             root=_tree_from_doc(_get(doc, "root", ""), descriptors, len(class_labels)),
             params=params,

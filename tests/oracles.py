@@ -9,7 +9,8 @@ builds one (with the package's key index); none of it uses the vectorized
 code paths.  The exceptions are ``per_column_best_split``, the split search
 that the engine's one-pass search replaced, and its ``_score_column``, which
 scores both undefined routings of every candidate, kept for differential
-tests.
+tests, and ``stratified_folds``, the index-at-a-time deal that the engine's
+fold assignment replaced.
 """
 
 from __future__ import annotations
@@ -911,3 +912,22 @@ def naive_predict(model, db, rows):
         total = sum(node.counts)
         out.append((node.prediction, tuple(c / total for c in node.counts)))
     return out
+
+
+def stratified_folds(labels, k, seed):
+    """Label-stratified folds dealt one index at a time (the engine's checks of ``k`` left out).
+
+    Each class's indices are shuffled by one generator seeded once, then dealt
+    round-robin with a pointer that keeps rotating across classes.
+    """
+    y = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    pointer = 0
+    for cls in np.unique(y):
+        idx = np.nonzero(y == cls)[0]
+        rng.shuffle(idx)
+        for i in idx:
+            folds[pointer % k].append(int(i))
+            pointer += 1
+    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]

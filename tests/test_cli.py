@@ -249,6 +249,22 @@ def _set_leaf(doc, key, value):
     return f"{where}.{key}"
 
 
+def _repeat_first_descriptor_last(doc):
+    doc["descriptors"].append(doc["descriptors"][0])
+    return f"descriptors[{len(doc['descriptors']) - 1}]"
+
+
+def _repeat_first_descriptor_first(doc):
+    doc["descriptors"].insert(0, doc["descriptors"][0])
+    stack = [doc["root"]]
+    while stack:  # every test now names its descriptor one index later
+        node = stack.pop()
+        if node["type"] == "inner":
+            node["test"]["descriptor"] += 1
+            stack += [node["left"], node["right"]]
+    return "descriptors[1]"
+
+
 def _set_class_labels(doc, value):
     doc["class_labels"] = value
     return "class_labels"
@@ -272,6 +288,8 @@ def _set_class_labels(doc, value):
     lambda doc: _set_root_test(doc, "kind", "range"),
     lambda doc: _set_class_labels(doc, "ab"),
     lambda doc: _set_class_labels(doc, ["no", 1]),
+    _repeat_first_descriptor_last,
+    _repeat_first_descriptor_first,
 ])
 def test_hostile_model_document_exits_one_naming_the_field(school_paths, tmp_path, capsys, hostile):
     data = ["--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths)]

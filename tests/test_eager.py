@@ -42,6 +42,28 @@ def test_propositionalize_len1_equals_root_ldt_columns(school_db):
     )
 
 
+def test_propositionalize_labels_every_requested_row():
+    from conftest import school_doc, school_rows
+
+    rows = school_rows()
+    rows["Professor"].append({"PID": "p_quirrell", "MID": "m1", "popular": ""})  # row 4, no label
+    db = build_database(catalog_from_dict(school_doc()), rows)
+    flat = propositionalize(db, 2, PARAMS, instance_ids=[3, 4, 3, 0])
+    assert flat.instance_ids.tolist() == [0, 3, 3, 4]
+    assert flat.class_labels == ("yes", "no")
+    assert flat.labels.tolist() == [0, 0, 0, -1]  # each copy of row 3 keeps its label
+
+
+def test_propositionalize_columns_come_in_descriptor_order_unsorted():
+    """Paths are enumerated in path order and each path's features come sorted, so no sort is needed."""
+    for seed in range(27):
+        doc, rows = random_micro_db(seed)
+        db = build_database(catalog_from_dict(doc), rows)
+        for bound in (1, 2, 3, None):
+            keys = [c.descriptor.sort_key() for c in propositionalize(db, bound, PARAMS).columns]
+            assert keys == sorted(keys), (seed, bound)
+
+
 def test_propositionalize_rejects_zero_bound(school_db):
     with pytest.raises(ValueError):
         propositionalize(school_db, 0, PARAMS)

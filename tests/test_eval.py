@@ -1,8 +1,11 @@
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import oracles
 
 from reltree.evaluate import (
     SchoolSpec,
@@ -50,6 +53,20 @@ def test_folds_38_instances_3_classes():
     for cls in range(3):
         per_fold = [int((labels[f] == cls).sum()) for f in folds]
         assert max(per_fold) - min(per_fold) <= 1
+
+
+def test_folds_equal_the_one_at_a_time_oracle():
+    rnd = random.Random(7)
+    for _ in range(300):
+        n = rnd.randint(2, 80)
+        labels = np.array([rnd.randrange(rnd.randint(1, 5)) for _ in range(n)])
+        k = rnd.randint(2, min(n, 12))
+        seed = rnd.randrange(10_000)
+        got = stratified_folds(labels, k, seed)
+        want = oracles.stratified_folds(labels, k, seed)
+        assert len(got) == k
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.tolist() == w.tolist()
 
 
 def test_folds_validation():

@@ -5,6 +5,7 @@ from oracles import dfs_paths, path_bags, kept_rows, random_micro_db, render_pat
 
 from reltree.features import features_for_path
 from reltree.joinpath import (
+    JoinPath,
     candidate_extensions,
     empty_path,
     extend_instantiation,
@@ -31,6 +32,14 @@ def test_initial_paths_school(school_catalog):
     movie = paths[1]
     assert not course.determinate  # lands on Course's FK column
     assert movie.determinate  # lands on Movie's primary key
+
+
+def test_determinate_follows_the_hops_however_the_path_is_built(school_catalog):
+    course, movie = initial_paths(school_catalog)
+    assert not JoinPath("Professor", course.hops).determinate  # one-to-many hop
+    assert JoinPath("Professor", movie.hops).determinate
+    assert JoinPath("Professor").determinate
+    assert JoinPath("Professor", course.hops) == empty_path(school_catalog).extended(course.hops[0])
 
 
 def test_initial_paths_without_fks():
