@@ -43,7 +43,7 @@ from .joinpath import (
     project_values,
     root_instantiation,
 )
-from .ldt import InvalidSplitError, LocalDataTable, build_root_ldt, extend_ldt, partition_ldt
+from .ldt import InvalidSplitError, LocalDataTable, build_root_ldt, extend_ldt, partition_ldt, split_rows
 from .params import LearnParams
 from .schema import (
     SchemaCatalog,

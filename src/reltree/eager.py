@@ -16,11 +16,11 @@ import numpy as np
 
 from .features import BOOLEAN, CATEGORICAL, FeatureColumn, features_for_path
 from .joinpath import JoinInstantiation, JoinPath, candidate_extensions, initial_paths, instantiate, root_instantiation
-from .ldt import LocalDataTable, target_labels
+from .ldt import LocalDataTable, partition_ldt, target_labels
 from .params import LearnParams
 from .schema import SchemaCatalog
 from .storage import Database
-from .tree import TreeModel, _grow, model_from_root
+from .tree import TreeModel, _check_ids, _grow, model_from_root
 
 
 class BudgetExceededError(RuntimeError):
@@ -66,15 +66,20 @@ def propositionalize(
     instance_ids=None,
     max_cells: int | None = 100_000_000,
 ) -> FlatTable:
-    """Materialize all features up to the path-length bound into a flat table."""
+    """Materialize all features up to the path-length bound into a flat table.
+
+    Raises ``ValueError`` naming the first of ``instance_ids`` that is not a
+    row of the target table.
+    """
     if max_path_len is not None and max_path_len < 1:
         raise ValueError("max_path_len must be >= 1")
 
     target = db.catalog.target_table
+    n_rows = db.tables[target].n_rows
     if instance_ids is None:
-        ids = np.arange(db.tables[target].n_rows, dtype=np.int64)
+        ids = np.arange(n_rows, dtype=np.int64)
     else:
-        ids = np.sort(np.asarray(instance_ids, dtype=np.int64))
+        ids = np.sort(_check_ids(instance_ids, n_rows))
 
     _, _, classes = target_labels(db)  # raises unless the target attribute is categorical
     labels = db.tables[target].columns[db.catalog.target_attribute].codes[ids]  # -1 where missing
@@ -113,8 +118,8 @@ def train_flat(db: Database, max_path_len: int | None, params: LearnParams, inst
     )
     unlabeled = flat.labels < 0
     if unlabeled.any():
-        ldt = ldt.take_rows(np.flatnonzero(~unlabeled))
-    root = _grow(db, ldt, params, depth=0, used=frozenset())
+        ldt = partition_ldt(ldt, [np.flatnonzero(~unlabeled)])
+    root = _grow(db, ldt, params)
     return model_from_root(db, root, params, mode="eager")
 
 

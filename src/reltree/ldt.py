@@ -1,14 +1,20 @@
-"""Per-tree-node local data tables and their extension machinery.
+"""Local data tables: the rows of one or more tree nodes, and their extension machinery.
 
-An LDT carries the node's instance ids and labels, every feature column
-constructed on its root-to-node path, and its frontier: an ordered map from
-each feature-bearing join path not yet extended to its join, built over this
-node's instances or an ancestor's (children of a split share the map).
-Extending an LDT materializes features for candidate path extensions; which
-frontier paths get extended depends on the strategy: all of them
+An LDT carries instance ids and labels, every feature column constructed on
+the root-to-node path, and its frontier: an ordered map from each
+feature-bearing join path not yet extended to its join, built over these
+instances or an ancestor's (tables partitioned from one another share the
+map).  Extending an LDT materializes features for candidate path extensions;
+which frontier paths get extended depends on the strategy: all of them
 (unrestricted), or only paths whose features were used by an ancestor split
 (restricted).  Length-1 initial paths were introduced unconditionally at the
 root and stay eligible under either strategy.
+
+A table's rows are grouped into contiguous segments, one per tree node:
+growth runs level by level, and a table holds every open node of one depth
+that shares its layout, each node's rows ascending within its segment.  A
+table built from columns has one segment.  Split search and splitting treat
+each segment as its own node; extension works on one node at a time.
 
 Columns are stored as one block per kind, a ``(columns of the kind) x rows``
 values array and a defined mask of the same shape: numeric ``float64`` with
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -134,10 +141,11 @@ class _Columns(Sequence):
 
 
 class LocalDataTable:
-    """A tree node's rows: instance ids, class labels, feature blocks and frontier.
+    """Tree nodes' rows: instance ids, class labels, feature blocks, frontier and segments.
 
     ``LocalDataTable(instance_ids=..., labels=..., n_classes=..., columns=[...],
-    frontier=...)`` stacks the columns into blocks under a new layout.
+    frontier=...)`` stacks the columns into blocks under a new layout, as one
+    segment.  Segment ``s`` is rows ``bounds[s]`` up to ``bounds[s + 1]``.
     """
 
     def __init__(
@@ -149,25 +157,52 @@ class LocalDataTable:
         frontier: dict[JoinPath, JoinInstantiation],  # paths not yet extended -> join over these or more instances
     ) -> None:
         layout = ColumnLayout.of(columns)
-        self._set(instance_ids, labels, n_classes, layout, _stack(layout, columns), frontier)
+        self._set(instance_ids, labels, n_classes, layout, _stack(layout, columns), frontier, None)
 
-    def _set(self, instance_ids, labels, n_classes, layout, blocks, frontier) -> None:
+    def _set(self, instance_ids, labels, n_classes, layout, blocks, frontier, bounds) -> None:
         self.instance_ids = instance_ids
         self.labels = labels
         self.n_classes = n_classes
         self.layout = layout
         self.blocks = blocks  # kind -> (values, defined), each (columns of the kind) x rows
         self.frontier = frontier
+        self.bounds = np.array([0, len(instance_ids)], dtype=np.int64) if bounds is None else bounds
 
-    def take_rows(self, rows: np.ndarray) -> "LocalDataTable":
-        """The table over ``rows`` (positions), sharing this one's layout and frontier."""
+    def _derived(self, rows, bounds) -> "LocalDataTable":
+        """The table over row positions ``rows`` in segments ``bounds``, sharing layout and frontier."""
         table = LocalDataTable.__new__(LocalDataTable)
         blocks = {
             kind: (np.take(values, rows, axis=1), np.take(defined, rows, axis=1))
             for kind, (values, defined) in self.blocks.items()
         }
-        table._set(self.instance_ids[rows], self.labels[rows], self.n_classes, self.layout, blocks, self.frontier)
+        table._set(self.instance_ids[rows], self.labels[rows], self.n_classes, self.layout, blocks, self.frontier,
+                   bounds)
         return table
+
+    def segment(self, s: int) -> "LocalDataTable":
+        """Segment ``s`` as a table of its own, one segment."""
+        lo, hi = self.bounds[s : s + 2].tolist()
+        return self._derived(np.arange(lo, hi), None)
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.bounds) - 1
+
+    @cached_property
+    def segment_ids(self) -> np.ndarray:
+        """The segment of each row."""
+        return np.repeat(np.arange(self.n_segments), self.bounds[1:] - self.bounds[:-1])
+
+    @cached_property
+    def row_keys(self) -> np.ndarray:
+        """``segment * n_classes + label`` of each row: its (segment, class) bin."""
+        return self.segment_ids * self.n_classes + self.labels
+
+    @cached_property
+    def class_counts(self) -> np.ndarray:
+        """Class counts of each segment, ``n_segments x n_classes``."""
+        counts = np.bincount(self.row_keys, minlength=self.n_segments * self.n_classes)
+        return counts.reshape(self.n_segments, self.n_classes)
 
     def __len__(self) -> int:
         return len(self.instance_ids)
@@ -223,7 +258,7 @@ def build_root_ldt(db: Database, params: LearnParams, instance_ids=None) -> Loca
 
 
 def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_paths: frozenset[JoinPath]) -> LocalDataTable | None:
-    """One extension round, per Algorithm-style tree growth.
+    """One extension round of a one-segment LDT, per Algorithm-style tree growth.
 
     Returns a new LDT with the extension features appended (the original is
     unchanged), or None when no frontier path qualifies under the strategy
@@ -231,6 +266,8 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
     extensions join it, each built from the extended path's join restricted
     to this node's instances.
     """
+    if ldt.n_segments != 1:
+        raise ValueError(f"extend_ldt extends one node, not a table of {ldt.n_segments} segments")
     if not ldt.frontier:
         return None
     if params.strategy == UNRESTRICTED:
@@ -263,32 +300,52 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
     )
 
 
-def partition_ldt(ldt: LocalDataTable, test: "SplitTest") -> tuple[LocalDataTable, LocalDataTable]:
-    """Split an LDT by a test; undefined rows follow the stored route.
+def split_rows(ldt: LocalDataTable, tests: "Sequence[SplitTest | None]") -> list[np.ndarray]:
+    """The row positions of the two children of each segment that has a test; undefined rows follow the stored route.
 
-    The left child is the pass side.  The test reads the tested column's row
-    of its kind's block.  Children take their rows of each block with one
-    gather and share the parent's layout and frontier map; no join is
-    touched.
+    ``tests[s]`` is segment ``s``'s test, or None for no split.  The children
+    come in segment order, the pass side first, each child's rows ascending.
+    A test reads the tested column's row of its kind's block over its
+    segment; nothing is gathered.
     """
+    if len(tests) != ldt.n_segments:
+        raise ValueError(f"{len(tests)} tests for {ldt.n_segments} segments")
     layout = ldt.layout
-    i = layout.index.get(test.descriptor)
-    if i is None:
-        raise KeyError(f"no column for descriptor {test.descriptor.name}")
-    values, defined = ldt.blocks[layout.kinds[i]]
-    values, defined = values[layout.slots[i]], defined[layout.slots[i]]
-    if test.kind == "numeric_le":
-        passes = values <= test.threshold
-    elif test.kind == "boolean_true":
-        passes = values
-    elif test.kind == "categorical_eq":
-        dictionary = layout.dictionaries[i] or ()
-        passes = values == (dictionary.index(test.value) if test.value in dictionary else -2)
-    else:
-        raise ValueError(f"unknown test kind {test.kind!r}")
-    passes = passes & defined
-    left = passes | ~defined if test.undefined_route == "pass" else passes
-    left_rows = np.flatnonzero(left)
-    if left_rows.size in (0, len(ldt)):
-        raise InvalidSplitError(f"test {test.descriptor.name} sends all rows to one side")
-    return ldt.take_rows(left_rows), ldt.take_rows(np.flatnonzero(~left))
+    bounds = ldt.bounds.tolist()
+    parts = []
+    for s, test in enumerate(tests):
+        if test is None:
+            continue
+        i = layout.index.get(test.descriptor)
+        if i is None:
+            raise KeyError(f"no column for descriptor {test.descriptor.name}")
+        lo, hi = bounds[s], bounds[s + 1]
+        values, defined = ldt.blocks[layout.kinds[i]]
+        values, defined = values[layout.slots[i], lo:hi], defined[layout.slots[i], lo:hi]
+        if test.kind == "numeric_le":
+            passes = values <= test.threshold
+        elif test.kind == "boolean_true":
+            passes = values
+        elif test.kind == "categorical_eq":
+            dictionary = layout.dictionaries[i] or ()
+            passes = values == (dictionary.index(test.value) if test.value in dictionary else -2)
+        else:
+            raise ValueError(f"unknown test kind {test.kind!r}")
+        passes = passes & defined
+        left = passes | ~defined if test.undefined_route == "pass" else passes
+        left_rows = np.flatnonzero(left)
+        if left_rows.size in (0, hi - lo):
+            raise InvalidSplitError(f"test {test.descriptor.name} sends all rows to one side")
+        parts += [left_rows + lo, np.flatnonzero(~left) + lo]
+    return parts
+
+
+def partition_ldt(ldt: LocalDataTable, parts: Sequence[np.ndarray]) -> LocalDataTable:
+    """The table whose segments are ``parts`` (row positions, as :func:`split_rows` gives them), in order.
+
+    It takes its rows of each block with one gather and shares the parent's
+    layout and frontier map; no join is touched.
+    """
+    sizes = np.array([0, *map(len, parts)], dtype=np.int64)
+    rows = np.concatenate(parts) if len(parts) else np.empty(0, dtype=np.int64)
+    return ldt._derived(rows, np.cumsum(sizes))

@@ -10,6 +10,7 @@ rejected at load.  Foreign-key values that match no primary key are kept
 from __future__ import annotations
 
 import csv
+import gc
 import math
 from collections import Counter
 from collections.abc import Callable, Sequence
@@ -436,19 +437,31 @@ def load_database(catalog: SchemaCatalog, data_dir, options: LoadOptions | None 
 
 
 def _read_rows(reader, path: Path) -> tuple[list[str], list[list[str]]]:
-    """The header and the data rows of one CSV, blank lines skipped."""
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty file (missing header)")
-    repeated = [name for name, count in Counter(header).items() if count > 1]
-    if repeated:
-        raise DataError(f"{path}: header repeats column {repeated[0]!r}")
-    width = len(header)
-    rows = []
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue
-            raise DataError(f"{path} line {reader.line_num}: {len(row)} fields, header has {width}")
-        rows.append(row)
-    return header, rows
+    """The header and the data rows of one CSV, blank lines skipped.
+
+    The cyclic garbage collector is off while the rows are read: the row
+    lists are many young containers, so it would run again and again and
+    find no cycle among them.  It is back in its previous state afterwards,
+    whether the read succeeds or raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file (missing header)")
+        repeated = [name for name, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise DataError(f"{path}: header repeats column {repeated[0]!r}")
+        width = len(header)
+        rows = []
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise DataError(f"{path} line {reader.line_num}: {len(row)} fields, header has {width}")
+            rows.append(row)
+        return header, rows
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,22 +1,29 @@
-"""Split search with information gain, recursive tree growth, prediction.
+"""Split search with information gain, level-by-level tree growth, prediction.
 
 Candidate tests are binary: numeric thresholds at midpoints of consecutive
 distinct defined values, one equality test per categorical value present, and
 the true-test for boolean features.  Each candidate induces a ternary
 pass/fail/undefined partition; the undefined rows are merged into whichever
 side scores the higher gain (ties go to fail) and the node remembers that
-routing so prediction can follow it.  A node's split search builds the
-candidates of all columns of one kind from that kind's block of the LDT at
-once, as rows of class counts, with a fixed number of numpy calls per kind;
-it then scores every row under the fail routing with one entropy pass, and
-under the pass routing only the rows that leave some instance undefined (on
-the others both routings make the same two sides, so the same gain, and the
-tie goes to fail), and picks the first row of highest gain in descriptor
-order.
+routing so prediction can follow it.  Split search takes a table whose rows
+are grouped into segments, one per node, and searches every segment at
+once: it builds the candidates of all columns of one kind in all segments
+from that kind's block of the LDT, as rows of class counts, with a fixed
+number of numpy calls per kind (and one sort per segment of the numeric
+block); it then scores every row, with its segment's size and entropy, under
+the fail routing with one entropy pass, and under the pass routing only the
+rows that leave some instance undefined (on the others both routings make the
+same two sides, so the same gain, and the tie goes to fail), and picks each
+segment's first row of highest gain in descriptor order.
 
-Growth follows the lazy scheme: try to split on the columns at hand, and only
-when no test clears the gain threshold extend the node's table with features
-from deeper join paths, once, before giving up and making a leaf.
+Growth runs level by level, one batch at a time: every open node of one
+depth that shares a column layout is one segment of one table, searched by
+one call and split into the next level's table by one gather.  It follows
+the lazy scheme: try to split on the columns at hand, and only when no test
+clears the gain threshold extend the node's table with features from deeper
+join paths, once, on its own, before giving up and making a leaf.  Each node
+gets the test it would get grown depth first, so the order of growth does
+not change the model.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ from __future__ import annotations
 import json
 import math
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,7 +49,7 @@ from .features import (
     feature_cells,
 )
 from .joinpath import Hop, JoinInstantiation, JoinPath, hops_from, join_hop
-from .ldt import LocalDataTable, build_root_ldt, extend_ldt, partition_ldt
+from .ldt import LocalDataTable, build_root_ldt, extend_ldt, partition_ldt, split_rows
 from .params import LearnParams, params_doc
 from .schema import fingerprint
 from .storage import Database, KeyColumn, NumericColumn
@@ -93,12 +102,13 @@ class SplitTest:
     undefined_route: str = "fail"  # "pass" | "fail"
 
 
-def _gains(pass_counts, fail_counts, undef_counts, rows, undef_passes: bool, n: int, h_parent: float) -> np.ndarray:
+def _gains(pass_counts, fail_counts, undef_counts, rows, undef_passes: bool, n, h_parent) -> np.ndarray:
     """Gain of the candidate rows ``rows`` with their undefined instances on the pass or the fail side.
 
-    Both sides go into one float64 block, and one entropy pass scores them;
-    counts are integers, so the block holds them exactly.  A candidate with
-    an empty side scores -inf.
+    ``n`` and ``h_parent`` hold the size and entropy of the node of each of
+    those rows.  Both sides go into one float64 block, and one entropy pass
+    scores them; counts are integers, so the block holds them exactly.  A
+    candidate with an empty side scores -inf.
     """
     sides = np.concatenate((pass_counts[rows], fail_counts[rows]), dtype=np.float64)
     m = len(sides) // 2
@@ -114,12 +124,13 @@ def _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent):
     """Gain of each candidate row under the better of the two undefined routings.
 
     Row ``i`` counts, per class, the defined instances that pass and fail
-    candidate ``i`` and the instances it leaves undefined.  Returns (ig,
+    candidate ``i`` and the instances it leaves undefined; ``n[i]`` and
+    ``h_parent[i]`` are the size and entropy of its node.  Returns (ig,
     route_is_pass); candidates where neither routing yields two nonempty
     sides score -inf.  The fail routing is scored on every row, in one
-    entropy pass.  The pass routing is scored, in a second pass, only on
-    the rows with a nonzero undefined count: on any other row both routings
-    make the same two sides, so the same gain, and a tie goes to fail, so
+    entropy pass.  The pass routing is scored, in a second pass, only on the
+    rows with a nonzero undefined count: on any other row both routings make
+    the same two sides, so the same gain, and a tie goes to fail, so
     skipping it there changes no gain and no route.  Entropy is computed row
     by row, so a row's gain does not depend on the other rows scored with it.
     """
@@ -127,38 +138,47 @@ def _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent):
     route_is_pass = np.zeros(len(ig), dtype=bool)
     rows = np.flatnonzero(undef_counts.any(axis=1))
     if rows.size:
-        ig_pass = _gains(pass_counts, fail_counts, undef_counts, rows, True, n, h_parent)
+        ig_pass = _gains(pass_counts, fail_counts, undef_counts, rows, True, n[rows], h_parent[rows])
         better = ig_pass > ig[rows]  # ties routed to fail
         route_is_pass[rows] = better
         ig[rows[better]] = ig_pass[better]
     return ig, route_is_pass
 
 
-def _numeric_candidates(values: np.ndarray, defined: np.ndarray, labels: np.ndarray, parent: np.ndarray):
-    """Candidate rows of every column of the numeric block, or None.
+def _numeric_candidates(values, defined, labels, bounds, segment_ids, n_classes):
+    """Candidate rows of every column of the numeric block in every segment, or None.
 
-    Returns (slots, pass_counts, undef_counts, thresholds): row ``i`` tests
-    block row ``slots[i]`` at ``thresholds[i]``, ascending within a block row.
-    One sort of the block puts each row's defined cells in ascending order
-    and its undefined (NaN) cells last; a threshold sits wherever the next
-    sorted value of the row is larger, and its pass counts are the
-    cumulative class counts there.  Equal values may sort in any order,
-    because counts are read only where the value changes.
+    Returns (slots, segments, pass_counts, fail_counts, thresholds): row
+    ``i`` tests block row ``slots[i]`` at ``thresholds[i]`` in segment
+    ``segments[i]``, ascending within a block row and segment.  One sort of
+    each segment of the block puts the segment's defined cells of a row in
+    ascending order and its undefined (NaN) cells last; a threshold sits
+    wherever the next sorted value of the row's segment is larger, and its
+    pass and fail counts are differences of the row's cumulative class
+    counts at the segment's start, at the threshold and after the segment's
+    last defined cell.  Equal values may sort in any order, because counts
+    are read only where the value changes.
     """
     m, n = values.shape
     if n < 2:
         return None
-    order = np.argsort(values, axis=1)
+    starts = bounds[:-1]
+    order = np.empty((m, n), dtype=np.intp)  # one sort per segment costs less than one sort by (segment, value)
+    for lo, hi in zip(starts.tolist(), bounds[1:].tolist()):
+        order[:, lo:hi] = np.argsort(values[:, lo:hi], axis=1)
+        order[:, lo:hi] += lo
     sorted_labels = labels[order]
     order += np.arange(0, m * n, n)[:, None]
     ordered = values.ravel()[order.ravel()]  # row s sorted, at s * n ... s * n + n - 1
     del order
     larger = ordered[:-1] < ordered[1:]
-    larger[n - 1::n] = False  # a row's last cell against the next row's first
+    ends = (np.arange(0, m * n, n)[:, None] + bounds[1:] - 1).ravel()
+    larger[ends[:-1]] = False  # a segment's last cell against the next segment's (or row's) first
     at = np.flatnonzero(larger)  # flat position of the lower value of each threshold
     if at.size == 0:
         return None
     slots = at // n
+    segments = segment_ids[at - slots * n]
     lower, upper = ordered[at], ordered[at + 1]
     # A midpoint of two adjacent floats can round up onto the larger value,
     # one of huge values overflows to inf, and that of -inf and inf is NaN;
@@ -168,113 +188,139 @@ def _numeric_candidates(values: np.ndarray, defined: np.ndarray, labels: np.ndar
         thresholds = (lower + upper) / 2.0
     off = ~(thresholds < upper)
     thresholds[off] = lower[off]
-    last = slots * n + np.count_nonzero(defined, axis=1)[slots] - 1  # each row's last defined cell
-    pass_counts = np.empty((at.size, len(parent)), dtype=np.int64)
-    undef_counts = np.empty_like(pass_counts)
-    for k in range(len(parent)):
-        cum = np.cumsum(sorted_labels == k, axis=1).ravel()
-        pass_counts[:, k] = cum[at]
-        undef_counts[:, k] = parent[k] - cum[last]
-    return slots, pass_counts, undef_counts, thresholds
+    # Cumulative counts with a leading 0 per row: cells lo..hi-1 of a row count cum[hi] - cum[lo].
+    first = slots * (n + 1) + starts[segments]  # the segment's first cell
+    cut = at + slots + 1  # past the threshold's lower value
+    last = first + np.add.reduceat(defined, starts, axis=1, dtype=np.int64)[slots, segments]  # past its defined cells
+    pass_counts = np.empty((at.size, n_classes), dtype=np.int64)
+    fail_counts = np.empty_like(pass_counts)
+    cum = np.zeros((m, n + 1), dtype=np.int64)
+    flat = cum.ravel()
+    for k in range(n_classes):
+        np.cumsum(sorted_labels == k, axis=1, out=cum[:, 1:])
+        below = flat[cut]
+        pass_counts[:, k] = below - flat[first]
+        fail_counts[:, k] = flat[last] - below
+    return slots, segments, pass_counts, fail_counts, thresholds
 
 
-def _categorical_candidates(codes, defined, labels, parent, code_offsets):
-    """Candidate rows of every column of the categorical block, or None.
+def _categorical_candidates(codes, defined, code_offsets, row_keys, n_segments, n_classes):
+    """Candidate rows of every column of the categorical block in every segment, or None.
 
-    Returns (slots, pass_counts, undef_counts, codes): one equality test per
-    value present, ascending by code within a block row.  One bincount over
-    per-row offset codes counts every (row, value, class); a row with an
-    empty dictionary owns no bin and has no candidates.
+    Returns (slots, segments, pass_counts, fail_counts, codes): one
+    equality test per value present in a segment, ascending by block row,
+    then code, then segment.  One bincount over per-row offset codes and
+    each row's (segment, class) bin counts every (row, value, segment,
+    class); a row with an empty dictionary owns no bin and has no
+    candidates.
     """
-    n_classes = len(parent)
     n_bins = int(code_offsets[-1])
     starts = code_offsets[:-1]
     live = defined & (code_offsets[1:] > starts)[:, None]
-    keys = (codes + starts[:, None]) * n_classes + labels
-    counts = np.bincount(keys[live], minlength=n_bins * n_classes).reshape(n_bins, n_classes)
-    bins = np.flatnonzero(counts.any(axis=1))
-    if bins.size == 0:
+    keys = (codes + starts[:, None]) * (n_segments * n_classes) + row_keys
+    counts = np.bincount(keys[live], minlength=n_bins * n_segments * n_classes).reshape(-1, n_classes)
+    cells = np.flatnonzero(counts.any(axis=1))  # bin * n_segments + segment
+    if cells.size == 0:
         return None
+    bins = cells // n_segments
+    segments = cells - bins * n_segments
     slots = np.searchsorted(code_offsets, bins, side="right") - 1
-    cum = np.zeros((n_bins + 1, n_classes), dtype=np.int64)
-    np.cumsum(counts, axis=0, out=cum[1:])
-    undef_counts = parent - (cum[code_offsets[1:]] - cum[starts])
-    return slots, counts[bins], undef_counts[slots], bins - starts[slots]
+    cum = np.zeros((n_bins + 1, n_segments, n_classes), dtype=np.int64)
+    np.cumsum(counts.reshape(n_bins, n_segments, n_classes), axis=0, out=cum[1:])
+    passed = counts[cells]
+    fail_counts = cum[code_offsets[slots + 1], segments] - cum[starts[slots], segments] - passed
+    return slots, segments, passed, fail_counts, bins - starts[slots]
 
 
-def _boolean_candidates(values, defined, labels, parent):
-    """Candidate rows of the boolean block: one true-test per row with a defined cell, or None.
+def _boolean_candidates(values, defined, row_keys, n_segments, n_classes):
+    """Candidate rows of the boolean block: one true-test per row and segment with a defined cell, or None.
 
-    Returns (slots, pass_counts, undef_counts, None), counted by one bincount
-    over (row, value, class).
+    Returns (slots, segments, pass_counts, fail_counts, None), counted by one
+    bincount over (row, value, segment, class).
     """
-    n_classes = len(parent)
-    keys = (np.arange(len(values))[:, None] * 2 + values) * n_classes + labels
-    counts = np.bincount(keys[defined], minlength=len(values) * 2 * n_classes).reshape(len(values), 2, n_classes)
-    slots = np.flatnonzero(defined.any(axis=1))
-    if slots.size == 0:
+    m = len(values)
+    keys = (values + np.arange(0, 2 * m, 2)[:, None]) * (n_segments * n_classes) + row_keys
+    counts = np.bincount(keys[defined], minlength=m * 2 * n_segments * n_classes).reshape(m, 2, n_segments, n_classes)
+    cells = np.flatnonzero(counts.any(axis=(1, 3)))  # row * n_segments + segment
+    if cells.size == 0:
         return None
-    return slots, counts[slots, 1], parent - counts[slots].sum(axis=1), None
+    slots = cells // n_segments
+    segments = cells - slots * n_segments
+    return slots, segments, counts[slots, 1, segments], counts[slots, 0, segments], None
 
 
 def best_split(
-    ldt: LocalDataTable, params: LearnParams, counts: np.ndarray | None = None, h: float | None = None
-) -> tuple[SplitTest, float] | None:
-    """Highest-gain valid test over the LDT's columns, or None.
+    ldt: LocalDataTable, params: LearnParams, h: np.ndarray | None = None
+) -> tuple[list[SplitTest | None], np.ndarray]:
+    """Highest-gain valid test of each segment of the LDT: (tests, gains).
 
-    ``counts`` and ``h`` are the node's class counts and their entropy, which
-    the caller may pass in when it has them; otherwise they are computed here.
+    ``tests[s]`` is segment ``s``'s test, or None when it has no valid test,
+    and ``gains[s]`` its gain (float64, -inf where there is no test).  Each
+    segment is searched as a node of its own; a table with one segment is a
+    single node.  ``h`` holds the entropy of each segment's class counts,
+    which the caller may pass when it has them; otherwise they are computed
+    here.
 
-    Each kind's block yields the candidate rows of all its columns at once:
-    numeric thresholds by ascending value, categorical value codes ascending,
-    one true-test per boolean column.  All rows are scored together by one
-    :func:`_score_candidates` call.  A row's gain does not depend on the rows scored with it, so the winner is
-    the first row of highest gain in descriptor order (each column's rank in
-    the layout), then by lower threshold / value code: gain ties between
-    tests break by descriptor order.
+    Each kind's block yields the candidate rows of all its columns in all
+    segments at once: numeric thresholds by ascending value, categorical
+    value codes ascending, one true-test per boolean column.  All rows are
+    scored together by one :func:`_score_candidates` call, each with its
+    segment's size and entropy.  A row's gain does not depend on the rows
+    scored with it, so each segment's winner is its first row of highest
+    gain in descriptor order (each column's rank in the layout), then by
+    lower threshold / value code: gain ties between tests break by
+    descriptor order.
     """
-    n = len(ldt)
-    labels = ldt.labels
-    parent = np.bincount(labels, minlength=ldt.n_classes) if counts is None else counts
-    layout = ldt.layout
+    layout, bounds = ldt.layout, ldt.bounds
+    n_segments, n_classes = ldt.n_segments, ldt.n_classes
+    tests: list[SplitTest | None] = [None] * n_segments
+    best = np.full(n_segments, -np.inf)  # each segment's highest gain
     found = []
     for kind, (values, defined) in ldt.blocks.items():
         if kind == NUMERIC:
-            rows = _numeric_candidates(values, defined, labels, parent)
+            rows = _numeric_candidates(values, defined, ldt.labels, bounds, ldt.segment_ids, n_classes)
         elif kind == CATEGORICAL:
-            rows = _categorical_candidates(values, defined, labels, parent, layout.code_offsets)
+            rows = _categorical_candidates(values, defined, layout.code_offsets, ldt.row_keys, n_segments, n_classes)
         else:
-            rows = _boolean_candidates(values, defined, labels, parent)
+            rows = _boolean_candidates(values, defined, ldt.row_keys, n_segments, n_classes)
         if rows is not None:
             found.append((kind, *rows))
     if not found:
-        return None
-    pass_counts = np.concatenate([f[2] for f in found])
-    undef_counts = np.concatenate([f[3] for f in found])
-    fail_counts = parent - undef_counts - pass_counts
-    ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, n, entropy(parent) if h is None else h)
-    best = ig.max()
-    if not np.isfinite(best):
-        return None
-    ties = np.flatnonzero(ig == best)
-    ranks = np.concatenate([layout.ranks[kind][slots] for kind, slots, *_ in found])
-    row = i = int(ties[np.argmin(ranks[ties])])
-    route = "pass" if route_pass[row] else "fail"
-    for kind, slots, _, _, keys in found:
-        if i < len(slots):
-            break
-        i -= len(slots)
-    column = int(layout.members[kind][slots[i]])
-    descriptor = layout.descriptors[column]
-    if kind == BOOLEAN:
-        test = SplitTest(descriptor, "boolean_true", undefined_route=route)
-    elif kind == NUMERIC:
-        test = SplitTest(descriptor, "numeric_le", threshold=float(keys[i]), undefined_route=route)
-    else:
-        code = int(keys[i])
-        test = SplitTest(descriptor, "categorical_eq", value=layout.dictionaries[column][code], value_code=code,
-                         undefined_route=route)
-    return test, float(ig[row])
+        return tests, best
+    segments = np.concatenate([f[2] for f in found])
+    pass_counts = np.concatenate([f[3] for f in found])
+    fail_counts = np.concatenate([f[4] for f in found])
+    # np.take gathers rows about ten times faster than the fancy index class_counts[segments] (numpy 2.4).
+    undef_counts = np.take(ldt.class_counts, segments, axis=0) - pass_counts - fail_counts
+    sizes = (bounds[1:] - bounds[:-1]).astype(np.float64)  # the gains divide by them; int64 would be cast each time
+    if h is None:
+        h = np.array([entropy(counts) for counts in ldt.class_counts])
+    ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, sizes[segments], h[segments])
+    np.maximum.at(best, segments, ig)
+    top = best[segments]
+    ties = np.flatnonzero((ig == top) & (top > -np.inf))
+    ranks = np.concatenate([layout.ranks[kind][slots] for kind, slots, *_ in found])[ties]
+    ties = ties[np.lexsort((ties, ranks, segments[ties]))]
+    ends = list(accumulate(len(f[1]) for f in found))  # of each kind's candidate rows
+    for row, s in zip(ties.tolist(), segments[ties].tolist()):
+        if tests[s] is not None:  # not the segment's first tie
+            continue
+        k = bisect_right(ends, row)
+        kind, slots, _, _, _, keys = found[k]
+        i = row - (ends[k - 1] if k else 0)
+        route = "pass" if route_pass[row] else "fail"
+        column = int(layout.members[kind][slots[i]])
+        descriptor = layout.descriptors[column]
+        if kind == BOOLEAN:
+            test = SplitTest(descriptor, "boolean_true", undefined_route=route)
+        elif kind == NUMERIC:
+            test = SplitTest(descriptor, "numeric_le", threshold=float(keys[i]), undefined_route=route)
+        else:
+            code = int(keys[i])
+            test = SplitTest(descriptor, "categorical_eq", value=layout.dictionaries[column][code], value_code=code,
+                             undefined_route=route)
+        tests[s] = test
+    return tests, best
 
 
 @dataclass(frozen=True)
@@ -332,38 +378,90 @@ def _leaf(counts: np.ndarray) -> LeafNode:
     return LeafNode(counts=tuple(int(c) for c in counts), prediction=int(np.argmax(counts)))
 
 
-def _clears(found: tuple[SplitTest, float] | None, params: LearnParams) -> bool:
-    return found is not None and found[1] > params.min_ig
+def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
+    """The tree grown from a one-segment root table, level by level.
 
+    Each level is a list of batches: one table of every open node of that
+    depth that shares a layout, one segment per node, with the ``used``
+    paths of each node's ancestors' tests and the node's entropy beside it.
+    A batch is searched by one :func:`best_split` call.  Its nodes whose
+    best test clears ``min_ig`` are split together: their children that stop
+    by depth, size or entropy become leaves, and the rest are gathered by one
+    :func:`partition_ldt` call into a batch of the next level.  A node whose
+    best gain does not clear ``min_ig`` extends on its own (the joins are
+    per node), is searched again, and on success its children form a batch
+    of their own under the extended layout.  Each node is grown exactly as
+    it would be depth first, so the order of growth does not change the
+    model.
+    """
+    # Per node id: its class counts while it is open, then a LeafNode or
+    # (test, gain, left id, right id).  Children are numbered after their parent.
+    built: list = []
 
-def _grow(db: Database, ldt: LocalDataTable, params: LearnParams, depth: int, used: frozenset) -> TreeNode:
-    # The node's class counts and entropy, computed once: an extension adds
-    # columns, not instances, so both searches below share them.
-    counts = np.bincount(ldt.labels, minlength=ldt.n_classes)
-    if depth >= params.max_depth or len(ldt) < params.min_inst:
-        return _leaf(counts)
-    # A split's gain never exceeds the node entropy, so when that bound
-    # already fails the threshold no extension can help: leaf immediately.
-    h = entropy(counts)
-    if h <= params.min_ig:
-        return _leaf(counts)
-    found = best_split(ldt, params, counts, h)
-    if not _clears(found, params):
-        extended = extend_ldt(db, ldt, params, used)
-        if extended is not None:
-            ldt = extended
-            found = best_split(ldt, params, counts, h)
-    if not _clears(found, params):
-        return _leaf(counts)
-    test, ig = found
-    left, right = partition_ldt(ldt, test)
-    used2 = used | {test.descriptor.path}
-    return InnerNode(
-        test=test,
-        ig=ig,
-        left=_grow(db, left, params, depth + 1, used2),
-        right=_grow(db, right, params, depth + 1, used2),
-    )
+    def add(counts: np.ndarray, depth: int) -> float | None:
+        """Number a node, a leaf at once when it stops by depth, size or entropy; its entropy when it is open."""
+        if depth < params.max_depth and counts.sum() >= params.min_inst:
+            h = entropy(counts)
+            # A split's gain never exceeds the node entropy, so when that
+            # bound already fails the threshold no extension can help.
+            if h > params.min_ig:
+                built.append(counts)
+                return h
+        built.append(_leaf(counts))
+        return None
+
+    def split(table: LocalDataTable, members: list, tests: list, igs: np.ndarray, depth: int):
+        """Record the inner nodes ``tests`` make of ``members``; the batch of their open children, or None."""
+        parts = split_rows(table, tests)
+        if not parts:
+            return None
+        child = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        counts = np.bincount(child * table.n_classes + table.labels[np.concatenate(parts)],
+                             minlength=len(parts) * table.n_classes).reshape(len(parts), table.n_classes)
+        kids, keep = [], []
+        j = 0
+        for (node, used, _), test, ig in zip(members, tests, igs):
+            if test is None:
+                continue
+            used = used | {test.descriptor.path}
+            built[node] = (test, float(ig), len(built), len(built) + 1)
+            for _ in range(2):
+                h = add(counts[j], depth + 1)
+                if h is not None:
+                    kids.append((len(built) - 1, used, h))
+                    keep.append(parts[j])
+                j += 1
+        return (partition_ldt(table, keep), kids) if kids else None
+
+    h = add(ldt.class_counts[0], 0)
+    level = [] if h is None else [(ldt, [(0, frozenset(), h)])]
+    depth = 0
+    while level:
+        following = []
+        for table, members in level:
+            h = np.array([member[2] for member in members])
+            tests, igs = best_split(table, params, h)
+            chosen: list[SplitTest | None] = [None] * len(members)
+            for s, (node, used, _) in enumerate(members):
+                if igs[s] > params.min_ig:
+                    chosen[s] = tests[s]
+                    continue
+                extended = extend_ldt(db, table.segment(s), params, used)
+                if extended is not None:
+                    ext_tests, ext_igs = best_split(extended, params, h[s : s + 1])
+                    if ext_igs[0] > params.min_ig:
+                        following.append(split(extended, [members[s]], ext_tests, ext_igs, depth))
+                        continue
+                built[node] = _leaf(built[node])
+            following.append(split(table, members, chosen, igs, depth))
+        level = [batch for batch in following if batch is not None]
+        depth += 1
+
+    nodes: list[TreeNode | None] = [None] * len(built)
+    for i in range(len(built) - 1, -1, -1):
+        b = built[i]
+        nodes[i] = b if isinstance(b, LeafNode) else InnerNode(test=b[0], ig=b[1], left=nodes[b[2]], right=nodes[b[3]])
+    return nodes[0]
 
 
 def _collect_descriptors(root: TreeNode) -> tuple[FeatureDescriptor, ...]:
@@ -388,7 +486,7 @@ def model_from_root(db: Database, root: TreeNode, params: LearnParams, mode: str
 def grow_tree(db: Database, params: LearnParams, instance_ids=None) -> TreeModel:
     """Learn a tree lazily over the database (optionally on an instance subset)."""
     ldt = build_root_ldt(db, params, instance_ids)
-    root = _grow(db, ldt, params, depth=0, used=frozenset())
+    root = _grow(db, ldt, params)
     return model_from_root(db, root, params, mode=f"lazy-{params.strategy}")
 
 
@@ -649,6 +747,17 @@ def _outside(instance: int, n_rows: int) -> ValueError:
     return ValueError(f"instance id {instance} is outside the target table's rows [0, {n_rows})")
 
 
+def _check_ids(instances, n_rows: int) -> np.ndarray:
+    """``instances`` as a 1-D int64 array, in their order; ValueError naming the first id outside ``[0, n_rows)``."""
+    if not isinstance(instances, np.ndarray):
+        instances = list(instances)
+    ids = np.asarray(instances, dtype=np.int64).reshape(-1)
+    outside = (ids < 0) | (ids >= n_rows)
+    if outside.any():
+        raise _outside(int(ids[np.argmax(outside)]), n_rows)
+    return ids
+
+
 def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     """Route one target-table row through the tree; equals ``predict_many(model, db, [instance])[0]``.
 
@@ -676,16 +785,8 @@ def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
     a row of the target table.  Prediction adds nothing to ``db.stats``.
     """
     check_compatible(model, db)
-    if not isinstance(instances, np.ndarray):
-        instances = list(instances)
-    ids = np.asarray(instances, dtype=np.int64).reshape(-1)
-    if ids.size == 0:
-        return []
-    n_rows = db.tables[db.catalog.target_table].n_rows
-    outside = (ids < 0) | (ids >= n_rows)
-    if outside.any():
-        raise _outside(int(ids[np.argmax(outside)]), n_rows)
-    return _route(model, db, ids)
+    ids = _check_ids(instances, db.tables[db.catalog.target_table].n_rows)
+    return _route(model, db, ids) if ids.size else []
 
 
 # ---------------------------------------------------------------------------

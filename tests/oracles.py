@@ -3,18 +3,22 @@
 Everything here works on plain Python loops: nested-loop joins over raw row
 dictionaries, naive aggregation via the statistics module, scalar aggregates
 of one multiset, recursive path enumeration, a brute-force split evaluator,
-a row-at-a-time database builder and a row-at-a-time router.  Only the router
-reads the package's loaded database, one cell at a time, and only the builder
-builds one (with the package's key index); none of it uses the vectorized
-code paths.  The exceptions are ``per_column_best_split``, the split search
-that the engine's one-pass search replaced, and its ``_score_column``, which
-scores both undefined routings of every candidate, kept for differential
-tests, and ``stratified_folds``, the index-at-a-time deal that the engine's
-fold assignment replaced.
+a row-at-a-time database builder, a row-at-a-time router and a whole-learner
+oracle that grows the lazy tree node by node from those parts
+(``naive_grow_tree``).  Only the router reads the package's loaded database,
+one cell at a time, and only the builder builds one (with the package's key
+index); none of it uses the vectorized code paths.  The exceptions are
+``per_column_best_split``, the split search that the engine's one-pass search
+replaced, and its ``_score_column``, which scores both undefined routings of
+every candidate, kept for differential tests, ``stratified_folds``, the
+index-at-a-time deal that the engine's fold assignment replaced, and
+``single_best`` and ``two_children``, which put the engine's segmented search
+and split into the one-node shapes the tests compare.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import statistics
@@ -23,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from reltree.features import BOOLEAN, NUMERIC, Agg
-from reltree.schema import KIND_CATEGORICAL, KIND_FOREIGN_KEY, KIND_NUMERIC, KIND_PRIMARY_KEY
+from reltree.ldt import partition_ldt, split_rows
+from reltree.params import params_doc
+from reltree.schema import (
+    KIND_CATEGORICAL,
+    KIND_FOREIGN_KEY,
+    KIND_NUMERIC,
+    KIND_PRIMARY_KEY,
+    catalog_from_dict,
+    fingerprint,
+)
 from reltree.storage import (
     CategoricalColumn,
     Database,
@@ -35,7 +48,7 @@ from reltree.storage import (
     NumericColumn,
     TableData,
 )
-from reltree.tree import SplitTest
+from reltree.tree import MODEL_FORMAT, MODEL_VERSION, SplitTest
 from reltree.tree import entropy as tree_entropy
 
 MISSING_TOKENS = ("", "?")
@@ -220,6 +233,11 @@ def path_bags(doc, kept, hops):
 # Naive aggregation.
 
 
+# Aggregator names in the canonical column order (the engine's ``Agg`` order).
+AGG_ORDER = ("identity", "avg", "std", "var", "max", "min", "sum", "count", "distinct_count", "contains", "is_empty")
+NUMERIC_AGGS = ("avg", "std", "var", "max", "min", "sum", "count")
+
+
 def naive_numeric(values):
     """dict of the numeric aggregate family; None marks undefined cells."""
     n = len(values)
@@ -305,6 +323,20 @@ def aggregate_numeric(values) -> NumericAggregates:
     )
 
 
+def sequential_numeric(values):
+    """:func:`naive_numeric`'s dict from :func:`aggregate_numeric`: sums added in bag order, variance in two passes.
+
+    ``statistics`` rounds a variance once, from exact fractions; the engine
+    rounds at every step, so a standard deviation can differ from it in the
+    last bit.  Where cells must equal the engine's bit for bit, as thresholds
+    in a serialized model must, this family adds in the engine's order.
+    """
+    a = aggregate_numeric(values)
+    out = {k: getattr(a, k) for k in NUMERIC_AGGS}
+    out["count"] = None if a.count is None else float(a.count)
+    return out
+
+
 def aggregate_categorical(values, domain, emit_contains: bool) -> CategoricalAggregates:
     """Categorical aggregate family over one multiset.
 
@@ -340,72 +372,92 @@ def base_domain(kept, table, column):
     return seen
 
 
-def flat_cells(doc, tables, max_path_len, domsize_abs=40, domsize_rel=0.2):
-    """Brute-force flat table: feature name -> list of cells (None undefined).
+@dataclass(frozen=True)
+class OracleColumn:
+    """One feature's cells over every kept target row; None marks undefined cells.
+
+    ``hops`` is the path as :func:`dfs_paths` hop tuples (empty for the target
+    table itself) and ``render`` its rendering, ``agg`` a name of ``AGG_ORDER`` and ``kind`` "numeric",
+    "boolean" or "categorical" (identity over a categorical attribute, whose
+    ``dictionary`` lists its base-table values in first-seen order).
+    """
+
+    name: str
+    kind: str
+    cells: list
+    render: str
+    hops: tuple
+    attribute: str | None
+    agg: str
+    value: str | None = None
+    dictionary: list | None = None
+
+    def sort_key(self):
+        """Descriptor order: rendered path, hop keys, attribute, aggregator, contains value."""
+        return (self.render, tuple(h[:4] for h in self.hops), self.attribute or "", AGG_ORDER.index(self.agg),
+                self.value or "")
+
+
+def path_columns(doc, kept, hops, domsize_abs=40, domsize_rel=0.2, numeric=naive_numeric):
+    """Brute-force columns of the features one path defines, cells from :func:`path_bags`.
 
     Cells are floats for numeric aggregates, bools for flags and contains,
-    and strings for identity over categorical attributes.
+    and strings for identity over categorical attributes.  The empty path
+    stands for the target table: identity features of its attributes, the
+    target attribute excepted.  ``numeric`` maps one bag's values to the
+    numeric family, as :func:`naive_numeric` does.
     """
     target, target_attr = doc["target"].split(".")
-    kept = kept_rows(doc, tables)
-    by_name = doc_tables(doc)
-    cells: dict[str, list] = {}
+    render = render_path(target, hops)
+    terminal = hops[-1][2] if hops else target
+    attrs = [(name, t) for name, t in doc_columns(doc_tables(doc)[terminal]) if t in ("num", "cat")]
+    if not hops:
+        attrs = [(name, t) for name, t in attrs if name != target_attr]
+    bags = path_bags(doc, kept, hops)
+    out = []
 
-    def attr_columns(table):
-        out = []
-        for name, type_str in doc_columns(by_name[table]):
-            if type_str in ("num", "cat"):
-                out.append((name, type_str))
-        return out
+    def cell(row, attr, type_str):
+        v = row.get(attr)
+        return None if is_missing(v) else (float(v) if type_str == "num" else str(v))
 
-    # root identity features over retained target attributes
-    for attr, type_str in attr_columns(target):
-        if attr == target_attr:
-            continue
-        col = []
-        for row in kept[target]:
-            v = row.get(attr)
-            if is_missing(v):
-                col.append(None)
-            else:
-                col.append(float(v) if type_str == "num" else str(v))
-        cells[f"{target}.{attr}:identity"] = col
+    def column(name, kind, cells, attr, agg, value=None, dictionary=None):
+        return OracleColumn(f"{render}.{name}", kind, cells, render, hops, attr, agg, value, dictionary)
 
-    for hops in dfs_paths(doc, max_path_len):
-        render = render_path(target, hops)
-        terminal = hops[-1][2]
-        bags = path_bags(doc, kept, hops)
-        if path_is_determinate(doc, hops):
-            for attr, type_str in attr_columns(terminal):
-                col = []
-                for bag in bags:
-                    assert len(bag) <= 1
-                    if len(bag) == 1 and not is_missing(bag[0].get(attr)):
-                        v = bag[0][attr]
-                        col.append(float(v) if type_str == "num" else str(v))
-                    else:
-                        col.append(None)
-                cells[f"{render}.{attr}:identity"] = col
-            continue
-        cells[f"{render}.:is_empty"] = [len(bag) == 0 for bag in bags]
-        for attr, type_str in attr_columns(terminal):
-            per_bag = [
-                [None if is_missing(r.get(attr)) else (float(r[attr]) if type_str == "num" else str(r[attr])) for r in bag]
-                for bag in bags
-            ]
+    if path_is_determinate(doc, hops):
+        for attr, type_str in attrs:
+            assert all(len(bag) <= 1 for bag in bags)
+            cells = [cell(bag[0], attr, type_str) if bag else None for bag in bags]
             if type_str == "num":
-                aggs = [naive_numeric(vals) for vals in per_bag]
-                for key in ("avg", "std", "var", "max", "min", "sum", "count"):
-                    cells[f"{render}.{attr}:{key}"] = [a[key] for a in aggs]
+                out.append(column(f"{attr}:identity", "numeric", cells, attr, "identity"))
             else:
                 domain = base_domain(kept, terminal, attr)
-                emit = len(domain) < domsize_abs and len(domain) < domsize_rel * len(kept[terminal])
-                aggs = [naive_categorical(vals, domain) for vals in per_bag]
-                cells[f"{render}.{attr}:count"] = [a["count"] for a in aggs]
-                cells[f"{render}.{attr}:distinct_count"] = [a["distinct_count"] for a in aggs]
-                if emit:
-                    for v in domain:
-                        cells[f"{render}.{attr}:contains={v}"] = [a["contains"][v] for a in aggs]
+                out.append(column(f"{attr}:identity", "categorical", cells, attr, "identity", dictionary=domain))
+        return out
+    out.append(column(":is_empty", "boolean", [len(bag) == 0 for bag in bags], None, "is_empty"))
+    for attr, type_str in attrs:
+        per_bag = [[cell(r, attr, type_str) for r in bag] for bag in bags]
+        if type_str == "num":
+            aggs = [numeric(vals) for vals in per_bag]
+            out += [column(f"{attr}:{key}", "numeric", [a[key] for a in aggs], attr, key) for key in NUMERIC_AGGS]
+            continue
+        domain = base_domain(kept, terminal, attr)
+        aggs = [naive_categorical(vals, domain) for vals in per_bag]
+        for key in ("count", "distinct_count"):
+            out.append(column(f"{attr}:{key}", "numeric", [a[key] for a in aggs], attr, key))
+        if len(domain) < domsize_abs and len(domain) < domsize_rel * len(kept[terminal]):
+            for v in domain:
+                cells = [a["contains"][v] for a in aggs]
+                out.append(column(f"{attr}:contains={v}", "boolean", cells, attr, "contains", v))
+    return out
+
+
+def flat_cells(doc, tables, max_path_len, domsize_abs=40, domsize_rel=0.2):
+    """Brute-force flat table: feature name -> list of cells (None undefined), per :func:`path_columns`."""
+    kept = kept_rows(doc, tables)
+    cells: dict[str, list] = {}
+    for hops in [(), *dfs_paths(doc, max_path_len)]:
+        for col in path_columns(doc, kept, hops, domsize_abs, domsize_rel):
+            cells[col.name] = col.cells
     return cells
 
 
@@ -586,6 +638,18 @@ def _best_on_column(col, labels, n_classes, n, h_parent):
     )
 
 
+def single_best(found):
+    """``best_split``'s ``(tests, gains)`` of a one-segment table as (test, gain), or None: the shape below."""
+    (test,), (ig,) = found
+    return None if test is None else (test, float(ig))
+
+
+def two_children(ldt, test):
+    """The (pass, fail) children of a one-segment table under ``test``, as tables of their own."""
+    children = partition_ldt(ldt, split_rows(ldt, [test]))
+    return children.segment(0), children.segment(1)
+
+
 def per_column_best_split(ldt):
     """(SplitTest, gain) of the best test over ``ldt``'s columns, or None, one column at a time."""
     n = len(ldt)
@@ -600,24 +664,167 @@ def per_column_best_split(ldt):
 
 
 # ---------------------------------------------------------------------------
+# Whole-learner oracle: the lazy tree grown node by node from the parts above.
+
+
+def naive_grow_tree(doc, tables, params) -> str:
+    """The serialized model the lazy learner grows on ``doc`` and ``tables``, built from the oracles above.
+
+    Every node is grown on its own, depth first.  Its columns are the
+    :func:`path_columns` of the paths it holds (the target table, the initial
+    paths and whatever extensions its branch added) over its rows, numeric
+    aggregates by :func:`sequential_numeric`, its test is
+    :func:`exhaustive_split`'s, and its rows go to the side the test and its
+    undefined route say.  A node that is not a leaf by depth, size or entropy
+    but whose best gain does not exceed ``min_ig`` extends once: it adds the
+    extensions of every frontier path (unrestricted), or only of the initial
+    paths and the paths an ancestor's test used (restricted), and searches
+    again.  Extended paths leave the frontier and their extensions join it.
+    """
+    target, target_attr = doc["target"].split(".")
+    kept = kept_rows(doc, tables)
+    classes = base_domain(kept, target, target_attr)
+    labeled = [i for i, row in enumerate(kept[target]) if not is_missing(row.get(target_attr))]
+    label = {i: classes.index(str(kept[target][i][target_attr])) for i in labeled}
+    universe = dfs_paths(doc, None)
+
+    def extensions(hops):
+        """Paths one step past ``hops``: continued through associative tables only."""
+        return [
+            q for q in universe
+            if len(q) > len(hops) and q[:len(hops)] == hops
+            and all(is_associative(doc, h[2]) for h in q[len(hops):-1])
+        ]
+
+    columns_of = {}
+
+    def columns(paths, rows):
+        out = []
+        for hops in paths:
+            if hops not in columns_of:
+                columns_of[hops] = path_columns(doc, kept, hops, params.domsize_abs, params.domsize_rel,
+                                                sequential_numeric)
+            out += [(col, [col.cells[i] for i in rows]) for col in columns_of[hops]]
+        return sorted(out, key=lambda c: c[0].sort_key())
+
+    def search(rows, paths):
+        held = columns([(), *paths], rows)
+        candidates = [(c.name, c.kind, cells, c.dictionary) for c, cells in held]
+        ig, key, _ = exhaustive_split(candidates, [label[i] for i in rows])
+        if ig is None or not ig > params.min_ig:
+            return None
+        return ig, key, next(c for c, _ in held if c.name == key[0])
+
+    def goes_left(key, cell):
+        _, kind, param, route = key
+        if cell is None:
+            return route == "pass"
+        if kind == "numeric_le":
+            return cell <= param
+        return cell == param if kind == "categorical_eq" else bool(cell)
+
+    initial = extensions(())
+    tested = {}
+
+    def grow(rows, depth, used, paths, frontier):
+        counts = [0] * len(classes)
+        for i in rows:
+            counts[label[i]] += 1
+        leaf = {"type": "leaf", "counts": counts, "prediction": counts.index(max(counts))}
+        if depth >= params.max_depth or len(rows) < params.min_inst or entropy(counts) <= params.min_ig:
+            return leaf
+        found = search(rows, paths)
+        if found is None:
+            if params.strategy == "unrestricted":
+                selected = list(frontier)
+            else:
+                selected = [p for p in frontier if p in initial or p in used]
+            if selected:
+                added = [q for p in selected for q in extensions(p)]
+                paths = paths + added
+                frontier = [p for p in frontier if p not in selected] + added
+                found = search(rows, paths)
+        if found is None:
+            return leaf
+        ig, key, col = found
+        tested[col.name] = col
+        left = [i for i in rows if goes_left(key, col.cells[i])]
+        right = [i for i in rows if not goes_left(key, col.cells[i])]
+        _, kind, param, route = key
+        return {
+            "type": "inner",
+            "ig": ig,
+            "test": {
+                "descriptor": col.name,
+                "kind": kind,
+                "threshold": param if kind == "numeric_le" else None,
+                "value": param if kind == "categorical_eq" else None,
+                "value_code": col.dictionary.index(param) if kind == "categorical_eq" else None,
+                "undefined_route": route,
+            },
+            "left": grow(left, depth + 1, used | {col.hops}, paths, frontier),
+            "right": grow(right, depth + 1, used | {col.hops}, paths, frontier),
+        }
+
+    root = grow(labeled, 0, frozenset(), initial, initial)
+    descriptors = sorted(tested.values(), key=OracleColumn.sort_key)
+    index = {col.name: i for i, col in enumerate(descriptors)}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node["type"] == "inner":
+            node["test"]["descriptor"] = index[node["test"]["descriptor"]]
+            stack += [node["left"], node["right"]]
+    model = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "mode": f"lazy-{params.strategy}",
+        "schema_fingerprint": fingerprint(catalog_from_dict(doc)),
+        "class_labels": classes,
+        "params": params_doc(params),
+        "descriptors": [
+            {
+                "name": col.name,
+                "path": {
+                    "start": target,
+                    "hops": [
+                        {"from_table": f, "from_column": fc, "to_table": t, "to_column": tc, "label": lab,
+                         "many_to_one": tc == primary_key(doc, t)}
+                        for f, fc, t, tc, lab in col.hops
+                    ],
+                },
+                "attribute": col.attribute,
+                "agg": col.agg,
+                "value": col.value,
+            }
+            for col in descriptors
+        ],
+        "root": root,
+    }
+    return json.dumps(model, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Random micro database generator (schema document + raw rows).
 
 
-def random_micro_db(seed):
+def random_micro_db(seed, chain=False):
     """Small random relational database for oracle comparisons.
 
     Up to 6 tables linked into a connected FK graph (occasionally with an
     extra edge or a keys-only link table), small attribute sets, some missing
-    values and some dangling references.
+    values and some dangling references.  With ``chain``, 5 to 7 tables of up
+    to 60 rows: T1 and T2 reference T0 and every later table the one two
+    before it, so two chains run from T0 and join paths reach 2 or 3 hops.
     """
     rnd = random.Random(seed)
-    n_tables = rnd.randint(2, 6)
+    n_tables = rnd.randint(5, 7) if chain else rnd.randint(2, 6)
     names = [f"T{i}" for i in range(n_tables)]
 
     columns = {name: [(f"{name.lower()}_id", "pk")] for name in names}
     # spanning links keep everything reachable from T0
     for i in range(1, n_tables):
-        parent = names[rnd.randrange(i)]
+        parent = names[max(0, i - 2)] if chain else names[rnd.randrange(i)]
         columns[names[i]].append((f"fk_{parent.lower()}", f"fk({parent}.{parent.lower()}_id)"))
     # occasionally a second link (possible associative table / extra edge)
     for i in range(1, n_tables):
@@ -644,8 +851,9 @@ def random_micro_db(seed):
         ],
     }
 
-    n_rows = {name: rnd.randint(0, 33) for name in names}
-    n_rows[names[0]] = rnd.randint(3, 33)
+    most = 60 if chain else 33
+    n_rows = {name: rnd.randint(0, most) for name in names}
+    n_rows[names[0]] = rnd.randint(3, most)
     tables = {}
     for name in names:
         rows = []

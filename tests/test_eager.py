@@ -159,3 +159,10 @@ def test_enumerate_paths_unbounded_terminates(school_catalog):
 def test_budget_exceeded_names_path(school_db):
     with pytest.raises(BudgetExceededError, match="Professor->"):
         propositionalize(school_db, 3, PARAMS, max_cells=10)
+
+
+@pytest.mark.parametrize("ids, bad", [([-1, 0], -1), ([7], 7), ([0, 4, -2], 4)])
+def test_propositionalize_refuses_an_id_outside_the_target_table(school_db, ids, bad):
+    """As predict_many does: -1 would take the last row's label, 7 end in a bare IndexError."""
+    with pytest.raises(ValueError, match=rf"^instance id {bad} is outside the target table's rows \[0, 4\)$"):
+        propositionalize(school_db, None, PARAMS, instance_ids=ids)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import school_doc, school_rows
-from oracles import per_column_best_split, random_micro_db
+from oracles import per_column_best_split, random_micro_db, single_best, two_children
 
 from reltree.features import Agg, FeatureColumn, FeatureDescriptor
 from reltree.joinpath import JoinPath, initial_paths
@@ -13,6 +13,7 @@ from reltree.ldt import (
     build_root_ldt,
     extend_ldt,
     partition_ldt,
+    split_rows,
 )
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
@@ -102,7 +103,7 @@ def test_extension_restricted_to_node_rows(school_db, school_catalog):
         ),
         kind="boolean_true",
     )
-    left, right = partition_ldt(ldt, test)  # left: no courses (is_empty true)
+    left, right = two_children(ldt, test)  # left: no courses (is_empty true)
     assert list(left.instance_ids) == [2, 3]
     assert list(right.instance_ids) == [0, 1]
     with school_db.stats.measure() as m:
@@ -136,7 +137,7 @@ def _tiny_ldt(cells, labels, kind="boolean", dictionary=None):
 def test_partition_boolean_with_undefined_routed_to_pass():
     ldt = _tiny_ldt([True, False, None], [0, 1, 0])
     test = SplitTest(descriptor=ldt.columns[0].descriptor, kind="boolean_true", undefined_route="pass")
-    left, right = partition_ldt(ldt, test)
+    left, right = two_children(ldt, test)
     assert list(left.instance_ids) == [0, 2]
     assert list(right.instance_ids) == [1]
 
@@ -144,7 +145,7 @@ def test_partition_boolean_with_undefined_routed_to_pass():
 def test_partition_numeric():
     ldt = _tiny_ldt([3.0, 7.0], [0, 1], kind="numeric")
     test = SplitTest(descriptor=ldt.columns[0].descriptor, kind="numeric_le", threshold=5.0)
-    left, right = partition_ldt(ldt, test)
+    left, right = two_children(ldt, test)
     assert list(left.instance_ids) == [0]
     assert list(right.instance_ids) == [1]
 
@@ -153,7 +154,7 @@ def test_partition_rejects_one_sided_split():
     ldt = _tiny_ldt([True, True], [0, 1])
     test = SplitTest(descriptor=ldt.columns[0].descriptor, kind="boolean_true", undefined_route="fail")
     with pytest.raises(InvalidSplitError):
-        partition_ldt(ldt, test)
+        split_rows(ldt, [test])
 
 
 def test_partition_children_share_the_frontier_map(school_db, school_catalog):
@@ -162,7 +163,7 @@ def test_partition_children_share_the_frontier_map(school_db, school_catalog):
         descriptor=FeatureDescriptor(path=initial_paths(school_catalog)[0], attribute=None, agg=Agg.IS_EMPTY),
         kind="boolean_true",
     )
-    left, right = partition_ldt(ldt, test)
+    left, right = two_children(ldt, test)
     assert left.frontier is ldt.frontier and right.frontier is ldt.frontier
     # the shared joins still cover the parent's four instances
     assert all(inst.n_instances == 4 for inst in right.frontier.values())
@@ -220,7 +221,7 @@ def test_extending_a_partitioned_node_matches_a_fresh_root(source, strategy, dat
         if test is None:
             continue
         try:
-            left, right = partition_ldt(node, test)
+            left, right = two_children(node, test)
         except InvalidSplitError:
             continue
         node = data.draw(st.sampled_from([left, right]), label="side")
@@ -276,20 +277,19 @@ def test_blocks_match_the_columns_down_random_walks(source, strategy, data):
     params = LearnParams(strategy=strategy)
     db, node = _root(source, params)
     used: frozenset = frozenset()
-    assert best_split(node, params) == per_column_best_split(node)
+    assert single_best(best_split(node, params)) == per_column_best_split(node)
     for step in data.draw(st.lists(st.sampled_from(["extend", "best", "split"]), max_size=6), label="steps"):
         if step == "extend":
             node = extend_ldt(db, node, params, used) or node
         else:
             if step == "best":
-                found = best_split(node, params)
-                test = found and found[0]
+                test = best_split(node, params)[0][0]
             else:
                 test = node.columns and _random_test(data.draw(st.sampled_from(node.columns), label="column"), data)
             if not test:
                 continue
             try:
-                children = partition_ldt(node, test)
+                children = two_children(node, test)
             except InvalidSplitError:
                 continue
             ids = np.concatenate([child.instance_ids for child in children])
@@ -305,4 +305,22 @@ def test_blocks_match_the_columns_down_random_walks(source, strategy, data):
                     assert got.defined.tobytes() == parent.defined[mask].tobytes()
             node = data.draw(st.sampled_from(children), label="side")
             used |= {test.descriptor.path}
-        assert best_split(node, params) == per_column_best_split(node)
+        assert single_best(best_split(node, params)) == per_column_best_split(node)
+
+
+def test_splitting_segments_together_equals_splitting_each_alone(school_db, school_catalog):
+    """Children come in segment order, pass side first; a segment without a test is left out."""
+    ldt = build_root_ldt(school_db, RESTRICTED)
+    no_courses = SplitTest(
+        descriptor=FeatureDescriptor(path=initial_paths(school_catalog)[0], attribute=None, agg=Agg.IS_EMPTY),
+        kind="boolean_true",
+    )
+    table = partition_ldt(ldt, [np.array([0, 2]), np.array([1]), np.array([1, 3])])
+    children = partition_ldt(table, split_rows(table, [no_courses, None, no_courses]))
+    assert children.n_segments == 4 and children.frontier is ldt.frontier
+    alone = [child for s in (0, 2) for child in two_children(table.segment(s), no_courses)]
+    for s, child in enumerate(alone):
+        got = children.segment(s)
+        assert got.instance_ids.tolist() == child.instance_ids.tolist()
+        assert [c.values.tobytes() for c in got.columns] == [c.values.tobytes() for c in child.columns]
+    assert [children.segment(s).instance_ids.tolist() for s in range(4)] == [[2], [0], [3], [1]]

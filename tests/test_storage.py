@@ -1,4 +1,5 @@
 import csv
+import gc
 import random
 import re
 
@@ -402,3 +403,43 @@ def test_non_utf8_file_is_a_data_error(school_dir):
     catalog = load_schema(school_dir / "schema.yaml")
     with pytest.raises(DataError, match=r"student\.csv: not UTF-8 text: invalid start byte"):
         load_database(catalog, school_dir)
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+@pytest.mark.parametrize("ragged", [False, True])
+def test_loading_leaves_the_garbage_collector_as_it_found_it(school_dir, collector_on, ragged):
+    """The collector is off only while CSV rows are read, after a good load and after a DataError alike."""
+    if ragged:
+        (school_dir / "student.csv").write_text("SID,grade\ns1,8\ns2,9,extra\n", encoding="utf-8")
+    catalog = load_schema(school_dir / "schema.yaml")
+    was = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        if ragged:
+            with pytest.raises(DataError, match="line 3: 3 fields, header has 2"):
+                load_database(catalog, school_dir)
+        else:
+            load_database(catalog, school_dir)
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_csv_rows_are_read_with_the_garbage_collector_off(school_dir, monkeypatch):
+    seen = []
+    reader = csv.reader
+
+    def recording_reader(fh):
+        for row in reader(fh):
+            seen.append(gc.isenabled())
+            yield row
+
+    monkeypatch.setattr(csv, "reader", recording_reader)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        load_database(load_schema(school_dir / "schema.yaml"), school_dir)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _score_column, exhaustive_split, per_column_best_split, random_micro_db
+from oracles import _score_column, exhaustive_split, per_column_best_split, random_micro_db, single_best, two_children
 
 from reltree import tree
 from reltree.eager import propositionalize, train_flat
@@ -74,7 +74,7 @@ def _ldt_from_columns(specs, labels):
 
 def test_best_split_midpoint_example():
     ldt = _ldt_from_columns([("numeric", [1.0, 2.0, 3.0, 4.0], None)], [0, 0, 1, 1])
-    test, ig = best_split(ldt, PARAMS)
+    (test,), (ig,) = best_split(ldt, PARAMS)
     assert test.kind == "numeric_le"
     assert test.threshold == pytest.approx(2.5)
     assert ig == pytest.approx(1.0, abs=1e-12)
@@ -82,12 +82,12 @@ def test_best_split_midpoint_example():
 
 def test_best_split_constant_column_yields_nothing():
     ldt = _ldt_from_columns([("numeric", [7.0, 7.0, 7.0], None)], [0, 1, 0])
-    assert best_split(ldt, PARAMS) is None
+    assert best_split(ldt, PARAMS)[0] == [None]
 
 
 def test_best_split_undefined_routing_example():
     ldt = _ldt_from_columns([("numeric", [1.0, None, 3.0], None)], [0, 0, 1])
-    test, ig = best_split(ldt, PARAMS)
+    (test,), (ig,) = best_split(ldt, PARAMS)
     assert test.threshold == pytest.approx(2.0)
     assert test.undefined_route == "pass"
     assert ig == pytest.approx(0.9182958340544896, abs=1e-12)
@@ -99,14 +99,14 @@ def test_best_split_undefined_routing_example():
 def test_best_split_ties_break_by_descriptor_order():
     cells = [1.0, 1.0, 3.0, 3.0]
     ldt = _ldt_from_columns([("numeric", cells, None), ("numeric", cells, None)], [0, 0, 1, 1])
-    test, _ = best_split(ldt, PARAMS)
+    (test,), _ = best_split(ldt, PARAMS)
     assert test.descriptor.attribute == "a0"
 
 
 def test_best_split_ties_inside_a_column_go_to_the_lower_threshold():
     # Thresholds 1.5 and 3.5 each cut one class-0 row off a {0, 1, 1, 0} node.
     ldt = _ldt_from_columns([("numeric", [1.0, 2.0, 3.0, 4.0], None)], [0, 1, 1, 0])
-    test, ig = best_split(ldt, PARAMS)
+    (test,), (ig,) = best_split(ldt, PARAMS)
     _, _, gains = exhaustive_split([("a0", "numeric", [1.0, 2.0, 3.0, 4.0], None)], [0, 1, 1, 0])
     assert gains[("a0", "numeric_le", 1.5, "fail")] == gains[("a0", "numeric_le", 3.5, "fail")] == ig
     assert test.threshold == 1.5
@@ -119,12 +119,8 @@ _GRID = (0.0, 1.0, float(np.nextafter(1.0, 2.0)), 2.5, 3.0, -4.0)
 _EXTREMES = (-np.inf, -1.7e308, -1e308, -0.0, 0.0, 1e308, 1.7e308, np.inf)
 
 
-@st.composite
-def _split_search_ldts(draw):
-    """LDTs of every column shape the split search distinguishes."""
-    n = draw(st.integers(1, 40))
-    n_classes = draw(st.sampled_from([2, 3]))
-    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+def _draw_columns(draw, n):
+    """Columns of ``n`` cells of every shape the split search distinguishes, in a drawn order."""
     defined_cells = st.lists(st.booleans(), min_size=n, max_size=n)
     columns = []
     for i in range(draw(st.integers(1, 9))):
@@ -162,11 +158,20 @@ def _split_search_ldts(draw):
         descriptor = FeatureDescriptor(path=JoinPath(start="T"), attribute=f"a{i}", agg=Agg.IDENTITY)
         columns.append(FeatureColumn(descriptor, kind, values, defined, dictionary))
     order = draw(st.permutations(range(len(columns))))
+    return [columns[k] for k in order]
+
+
+@st.composite
+def _split_search_ldts(draw):
+    """LDTs of every column shape the split search distinguishes."""
+    n = draw(st.integers(1, 40))
+    n_classes = draw(st.sampled_from([2, 3]))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
     return LocalDataTable(
         instance_ids=np.arange(n, dtype=np.int64),
         labels=np.array(labels, dtype=np.int64),
         n_classes=n_classes,
-        columns=[columns[k] for k in order],
+        columns=_draw_columns(draw, n),
         frontier={},
     )
 
@@ -175,7 +180,59 @@ def _split_search_ldts(draw):
 @given(_split_search_ldts())
 def test_best_split_equals_the_per_column_search(ldt):
     """The block search picks exactly the test and gain of the column-at-a-time search."""
-    assert best_split(ldt, PARAMS) == per_column_best_split(ldt)
+    assert single_best(best_split(ldt, PARAMS)) == per_column_best_split(ldt)
+
+
+@st.composite
+def _segmented_ldts(draw):
+    """Tables of 1 to 6 segments, some of one row and some copies of an earlier one, over shared columns."""
+    n_classes = draw(st.sampled_from([2, 3]))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    n = sum(sizes)
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)), dtype=np.int64)
+    columns = _draw_columns(draw, n)
+    bounds = np.cumsum([0, *sizes])
+    for s in range(1, len(sizes)):
+        earlier = [t for t in range(s) if sizes[t] == sizes[s]]
+        if earlier and draw(st.booleans()):  # the same rows again: equal best gains in two segments
+            t = draw(st.sampled_from(earlier))
+            target, source = slice(bounds[s], bounds[s + 1]), slice(bounds[t], bounds[t + 1])
+            labels[target] = labels[source]
+            for c in columns:
+                c.values[target], c.defined[target] = c.values[source], c.defined[source]
+    table = LocalDataTable(np.arange(n, dtype=np.int64), labels, n_classes, columns, frontier={})
+    return partition_ldt(table, [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segmented_ldts())
+def test_segmented_search_equals_the_per_column_search_of_each_segment(table):
+    """Every segment gets exactly the test and gain its rows alone get from the column-at-a-time search."""
+    tests, igs = best_split(table, PARAMS)
+    assert igs.dtype == np.float64 and len(tests) == len(igs) == table.n_segments
+    for s in range(table.n_segments):
+        assert single_best(([tests[s]], igs[s : s + 1])) == per_column_best_split(table.segment(s))
+        assert (tests[s] is None) == (igs[s] == -np.inf)
+
+
+def test_segmented_search_covers_its_edge_cases():
+    """One-row segments, a segment without candidates, an all-undefined column, a value of one segment only,
+    and equal best gains in two segments."""
+    cells = [
+        ("numeric", [None] * 8, None),
+        ("numeric", [1.0, 1.0, 1.0, 5.0, 2.0, 2.0, 2.0, 2.0], None),
+        ("categorical", ["a", "a", "a", "b", "c", "a", "b", "a"], "abc"),
+    ]
+    table = _ldt_from_columns(cells, [0, 1, 0, 1, 1, 0, 0, 0])
+    # Rows 0-2 have constant cells, row 3 is alone, and rows 4-7 come twice.
+    rows = [np.arange(0, 3), np.arange(3, 4), np.arange(4, 8), np.arange(4, 8)]
+    table = partition_ldt(table, rows)
+    tests, igs = best_split(table, PARAMS)
+    assert tests[:2] == [None, None] and igs[0] == igs[1] == -np.inf
+    assert tests[2] == tests[3] and igs[2] == igs[3] > 0
+    assert (tests[2].descriptor.attribute, tests[2].value) == ("a2", "c")  # "c" occurs in segment 2 only
+    for s in range(4):
+        assert single_best(([tests[s]], igs[s : s + 1])) == per_column_best_split(table.segment(s))
 
 
 @st.composite
@@ -198,7 +255,8 @@ def _count_rows(draw):
 @given(_count_rows(), st.integers(1, 60), st.floats(0.0, 2.0))
 def test_score_candidates_equals_scoring_both_routings_of_every_row(rows, n, h_parent):
     """Skipping the pass routing where nothing is undefined changes no gain and no route, bit for bit."""
-    ig, route_is_pass = tree._score_candidates(*rows, n, h_parent)
+    m = len(rows[0])
+    ig, route_is_pass = tree._score_candidates(*rows, np.full(m, n), np.full(m, h_parent))
     want_ig, want_route = _score_column(*rows, n, h_parent)
     assert ig.tobytes() == want_ig.tobytes()
     assert (ig == want_ig).all() and (route_is_pass == want_route).all()
@@ -221,7 +279,7 @@ def test_a_node_without_undefined_cells_scores_in_one_entropy_pass(monkeypatch):
     passes = _count_entropy_passes(monkeypatch)
     ldt = _ldt_from_columns([("numeric", [1.0, 2.0, 3.0, 4.0], None), ("categorical", list("abab"), "ab")],
                             [0, 0, 1, 1])
-    assert best_split(ldt, PARAMS) is not None
+    assert best_split(ldt, PARAMS)[0] != [None]
     assert passes == [2 * 5]  # both sides of 3 thresholds and 2 values
 
 
@@ -229,7 +287,7 @@ def test_the_pass_routing_is_scored_only_on_rows_with_undefined_instances(monkey
     passes = _count_entropy_passes(monkeypatch)
     pass_counts = np.array([[1, 0], [2, 1], [0, 3], [1, 1]])
     undef_counts = np.array([[0, 0], [1, 0], [0, 0], [0, 2]])
-    tree._score_candidates(pass_counts, 4 - pass_counts - undef_counts, undef_counts, 8, 1.0)
+    tree._score_candidates(pass_counts, 4 - pass_counts - undef_counts, undef_counts, np.full(4, 8), np.ones(4))
     assert passes == [2 * 4, 2 * 2]
 
 
@@ -257,9 +315,9 @@ def test_models_equal_those_grown_scoring_both_routings_of_every_row(monkeypatch
 def test_threshold_between_infinities_splits_where_the_values_do():
     # The midpoint of -inf and inf is NaN, and `v <= NaN` passes nothing.
     ldt = _ldt_from_columns([("numeric", [-np.inf, np.inf, -np.inf, np.inf], None)], [0, 1, 0, 1])
-    test, ig = best_split(ldt, PARAMS)
+    (test,), (ig,) = best_split(ldt, PARAMS)
     assert test.threshold == -np.inf and ig == 1.0
-    left, right = partition_ldt(ldt, test)
+    left, right = two_children(ldt, test)
     assert left.instance_ids.tolist() == [0, 2] and right.instance_ids.tolist() == [1, 3]
 
 
@@ -302,7 +360,7 @@ def test_best_split_matches_exhaustive_oracle():
     rnd = random.Random(20240)
     for _ in range(150):
         ldt, oracle_cols, labels = _random_oracle_ldt(rnd)
-        got = best_split(ldt, PARAMS)
+        got = single_best(best_split(ldt, PARAMS))
         best_ig, best_key, gains = exhaustive_split(oracle_cols, labels)
         if got is None:
             assert best_ig is None
@@ -497,7 +555,7 @@ def test_gain_bounds_on_random_ldts():
     rnd = random.Random(5)
     for _ in range(40):
         ldt, _, labels = _random_oracle_ldt(rnd, max_rows=32, max_features=4)
-        found = best_split(ldt, PARAMS)
+        found = single_best(best_split(ldt, PARAMS))
         if found is None:
             continue
         _, ig = found
