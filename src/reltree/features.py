@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .joinpath import JoinInstantiation, JoinPath, ValueBags, project_values
+from .joinpath import JoinInstantiation, JoinPath, ValueBags, computed_once, project_values
 from .params import LearnParams
 from .storage import CategoricalColumn, Database, NumericColumn
 
@@ -62,6 +62,13 @@ class FeatureDescriptor:
     agg: Agg
     value: str | None = None
 
+    def __post_init__(self) -> None:
+        # The dataclass's own hash, computed once, and the sort key on first use, as JoinPath's.
+        object.__setattr__(self, "_hash", hash((self.path, self.attribute, self.agg, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def name(self) -> str:
         base = self.path.render()
@@ -72,6 +79,10 @@ class FeatureDescriptor:
         return f"{base}.{self.attribute}:{AGG_NAMES[self.agg]}"
 
     def sort_key(self):
+        return self._sort_key
+
+    @computed_once
+    def _sort_key(self):
         return (*self.path.sort_key(), self.attribute or "", int(self.agg), self.value or "")
 
 

@@ -18,6 +18,27 @@ from .schema import SchemaCatalog, is_associative, neighbors, table_depths
 from .storage import CategoricalColumn, Database, KeyColumn, NumericColumn
 
 
+class computed_once:
+    """A read-only attribute computed on its first read and then stored on the instance.
+
+    ``functools.cached_property`` takes a lock on every first read up to
+    Python 3.11, which costs more than the values cached with this.  Being a
+    descriptor without ``__set__``, it works on frozen dataclasses, and the
+    stored value shadows it on later reads.
+    """
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        object.__setattr__(obj, self.name, value)  # not through obj.__dict__, which would stop it sharing keys
+        return value
+
+
 @dataclass(frozen=True)
 class Hop:
     """One traversed edge; ``label`` is the edge's foreign-key column name.
@@ -33,11 +54,36 @@ class Hop:
     label: str
     many_to_one: bool
 
+    def __post_init__(self) -> None:
+        # The dataclass's own hash, computed once: hops key sets and dicts.
+        fields = (self.from_table, self.from_column, self.to_table, self.to_column, self.label, self.many_to_one)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True)
 class JoinPath:
+    """A path from the target table ``start`` along ``hops``.
+
+    Paths key the frontier maps, ``used`` sets and layouts of growth and are
+    sorted by :meth:`sort_key` wherever paths or descriptors are ordered, so
+    the hash (the dataclass's own) is computed once, when the path is made,
+    and the rendering and the sort key once, on first use.  The rendering is
+    always stored before the sort key, so every path's attributes are added
+    in one order and its instance dict keeps sharing its keys.  A hash is
+    only valid in the process that computed it; paths are never pickled.
+    """
+
     start: str
     hops: tuple[Hop, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.start, self.hops)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def determinate(self) -> bool:
@@ -68,10 +114,18 @@ class JoinPath:
         return JoinPath(self.start, self.hops[:n])
 
     def render(self) -> str:
-        return self.start + "".join(f"->{h.to_table}({h.label})" for h in self.hops)
+        return self._rendered
 
     def sort_key(self):
-        return (self.render(), tuple((h.from_table, h.from_column, h.to_table, h.to_column) for h in self.hops))
+        return self._sort_key
+
+    @computed_once
+    def _rendered(self) -> str:
+        return self.start + "".join(f"->{h.to_table}({h.label})" for h in self.hops)
+
+    @computed_once
+    def _sort_key(self):
+        return (self._rendered, tuple((h.from_table, h.from_column, h.to_table, h.to_column) for h in self.hops))
 
 
 def empty_path(catalog: SchemaCatalog) -> JoinPath:
@@ -179,8 +233,13 @@ def root_instantiation(db: Database, instance_ids=None) -> JoinInstantiation:
     )
 
 
-def join_hop(db: Database, inst: JoinInstantiation, hop: Hop) -> JoinInstantiation:
-    """Extend every bag of ``inst`` by one hop; only the new hop's joins are computed."""
+def join_hop(db: Database, inst: JoinInstantiation, path: JoinPath) -> JoinInstantiation:
+    """Extend every bag of ``inst`` by the last hop of ``path``, the path of ``inst`` with that hop added.
+
+    Only the new hop's joins are computed.  The caller passes the extended
+    path, so prediction, which knows its paths, makes none.
+    """
+    hop = path.hops[-1]
     if inst.path.terminal_table != hop.from_table:
         raise ValueError(f"instantiation terminal {inst.path.terminal_table} != hop source {hop.from_table}")
     col = db.tables[hop.from_table].columns[hop.from_column]
@@ -192,9 +251,7 @@ def join_hop(db: Database, inst: JoinInstantiation, hop: Hop) -> JoinInstantiati
     starts = index.starts[codes]
     cum, new_rows = _gather(index.rows, starts, index.starts[codes + 1] - starts)
     new_offsets = cum[inst.offsets]
-    return JoinInstantiation(
-        path=inst.path.extended(hop), instance_ids=inst.instance_ids, offsets=new_offsets, rows=new_rows
-    )
+    return JoinInstantiation(path=path, instance_ids=inst.instance_ids, offsets=new_offsets, rows=new_rows)
 
 
 def extend_instantiation(db: Database, inst: JoinInstantiation, hop: Hop) -> JoinInstantiation:
@@ -203,7 +260,7 @@ def extend_instantiation(db: Database, inst: JoinInstantiation, hop: Hop) -> Joi
     Each source terminal row costs one indexed lookup, which is recorded in
     ``db.stats`` under the extended path's length.
     """
-    out = join_hop(db, inst, hop)
+    out = join_hop(db, inst, inst.path.extended(hop))
     db.stats.count_lookups(len(out.path.hops), len(inst.rows))
     return out
 

@@ -1,29 +1,34 @@
 """Split search with information gain, level-by-level tree growth, prediction.
 
 Candidate tests are binary: numeric thresholds at midpoints of consecutive
-distinct defined values, one equality test per categorical value present, and
-the true-test for boolean features.  Each candidate induces a ternary
-pass/fail/undefined partition; the undefined rows are merged into whichever
-side scores the higher gain (ties go to fail) and the node remembers that
-routing so prediction can follow it.  Split search takes a table whose rows
-are grouped into segments, one per node, and searches every segment at
-once: it builds the candidates of all columns of one kind in all segments
-from that kind's block of the LDT, as rows of class counts, with a fixed
-number of numpy calls per kind (and one sort per segment of the numeric
-block); it then scores every row, with its segment's size and entropy, under
-the fail routing with one entropy pass, and under the pass routing only the
-rows that leave some instance undefined (on the others both routings make the
-same two sides, so the same gain, and the tie goes to fail), and picks each
-segment's first row of highest gain in descriptor order.
+distinct defined values that are boundary points (see
+:func:`_numeric_candidates`), one equality test per categorical value
+present, and the true-test for boolean features.  Each candidate induces a
+ternary pass/fail/undefined partition; the undefined rows are merged into
+whichever side scores the higher gain (ties go to fail) and the node
+remembers that routing so prediction can follow it.  Split search takes a
+table whose rows are grouped into segments, one per node, and searches every
+segment at once: it builds the candidates of all columns of one kind in all
+segments from that kind's block of the LDT, as rows of class counts, with a
+fixed number of numpy calls per kind (and one sort per segment of the
+numeric block), leaving out the numeric thresholds inside runs of one class,
+which cannot be a segment's best test; it then scores every row, with its
+segment's size and entropy, under the fail routing with one entropy pass,
+and under the pass routing only the rows that leave some instance undefined
+(on the others both routings make the same two sides, so the same gain, and
+the tie goes to fail), and picks each segment's first row of highest gain in
+descriptor order.
 
 Growth runs level by level, one batch at a time: every open node of one
 depth that shares a column layout is one segment of one table, searched by
-one call and split into the next level's table by one gather.  It follows
-the lazy scheme: try to split on the columns at hand, and only when no test
-clears the gain threshold extend the node's table with features from deeper
-join paths, once, on its own, before giving up and making a leaf.  Each node
-gets the test it would get grown depth first, so the order of growth does
-not change the model.
+one call and split into the next level's table by one gather; the
+children's sizes, entropies, open-or-leaf decisions and leaves are settled
+for the whole batch in one numpy pass.  It follows the lazy scheme: try to
+split on the columns at hand, and only when no test clears the gain
+threshold extend the node's table with features from deeper join paths,
+once, on its own, before giving up and making a leaf.  Each node gets the
+test it would get grown depth first, so the order of growth does not change
+the model.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ def entropy(counts) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _weighted_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(size, size x entropy in bits) of each row of a float64 block of class counts.
+def _row_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(size, entropy in bits) of each row of a float64 block of class counts.
 
     The block is overwritten with each row's class shares.  An all-zero row
     divides by 1, so its shares are 0 and both results are 0.  Each row is
@@ -89,7 +94,29 @@ def _weighted_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.divide(counts, np.maximum(sizes, 1)[:, None], out=counts)
     logs = np.zeros_like(p)
     np.log2(p, out=logs, where=p > 0)
-    return sizes, sizes * -np.multiply(p, logs, out=logs).sum(axis=1)
+    return sizes, -np.multiply(p, logs, out=logs).sum(axis=1)
+
+
+def _weighted_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(size, size x entropy in bits) of each row of a float64 block of class counts, as :func:`_row_entropies`."""
+    sizes, h = _row_entropies(counts)
+    return sizes, sizes * h
+
+
+def _node_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(size, :func:`entropy`) of each row of an integer block of nonempty class counts, bit for bit, in one pass.
+
+    numpy sums a row of 8 or more entries pairwise, and there zero entries
+    group the nonzero terms otherwise than :func:`entropy`'s sum of the
+    nonzero terms alone, so a row of 8 or more classes with a zero count
+    goes through :func:`entropy` itself.  A row of fewer entries, or without
+    zeros, sums the same terms in the same order either way.
+    """
+    sizes, h = _row_entropies(counts.astype(np.float64))
+    if counts.shape[1] >= 8:
+        for i in np.flatnonzero((counts == 0).any(axis=1)).tolist():
+            h[i] = entropy(counts[i])
+    return sizes, h
 
 
 @dataclass(frozen=True)
@@ -145,6 +172,26 @@ def _score_candidates(pass_counts, fail_counts, undef_counts, n, h_parent):
     return ig, route_is_pass
 
 
+def _on_boundaries(labels, at, first, last, undefined) -> np.ndarray:
+    """Which numeric thresholds can be a segment's best: a mask over ``at``.
+
+    ``labels`` are the sorted labels of the numeric block, flat.  Threshold
+    ``i`` lies between flat positions ``at[i]`` and ``at[i] + 1`` (ascending
+    in ``i``), inside the defined cells ``first[i]`` to ``last[i]`` of its
+    block row in its segment; ``undefined[i]`` says whether that segment has
+    undefined cells in the row.  A threshold is dropped when its lower and
+    upper value blocks together hold one class, except where that run of
+    one class is all the row's defined cells in the segment, or reaches the
+    lowest or highest of them while the segment has undefined cells.
+    """
+    changes = np.zeros(len(labels), dtype=np.intp)  # changes[p]: label changes between positions below p
+    np.cumsum(labels[1:] != labels[:-1], out=changes[1:])
+    lo = np.maximum(np.concatenate(([0], at[:-1] + 1)), first)  # the lower value block's first cell
+    hi = np.minimum(np.append(at[1:], last[-1]), last)  # the upper value block's last cell
+    c_lo, c_hi, c_first, c_last = changes[np.stack((lo, hi, first, last))]
+    return (c_lo != c_hi) | (c_first == c_last) | (undefined & ((c_first == c_hi) | (c_lo == c_last)))
+
+
 def _numeric_candidates(values, defined, labels, bounds, segment_ids, n_classes):
     """Candidate rows of every column of the numeric block in every segment, or None.
 
@@ -156,8 +203,25 @@ def _numeric_candidates(values, defined, labels, bounds, segment_ids, n_classes)
     wherever the next sorted value of the row's segment is larger, and its
     pass and fail counts are differences of the row's cumulative class
     counts at the segment's start, at the threshold and after the segment's
-    last defined cell.  Equal values may sort in any order, because counts
-    are read only where the value changes.
+    last defined cell.
+
+    Only boundary points are candidates (Fayyad and Irani, 1992): a
+    threshold whose lower and upper value blocks together hold one class is
+    dropped (:func:`_on_boundaries`), before thresholds and counts are
+    built.  Moving a cut through a run of one class keeps the weighted
+    entropy of the two sides, under either undefined routing, a concave
+    function of the cut, strictly so unless both sides hold that class
+    alone, so a threshold inside the run scores below one of the run's two
+    ends and never wins.  Two kinds of run keep their thresholds, because an
+    end of theirs is no threshold.  A run that is all the row's defined
+    cells in the segment: without undefined cells the segment holds one
+    class, every gain is 0, and the lowest threshold wins the tie.  A run
+    that reaches the lowest or highest defined value of a segment with
+    undefined cells in the row: its outer end sends every defined cell to
+    one side, a real split that no threshold makes, so a threshold inside
+    the run can be the best candidate.  Equal values may sort in any order,
+    because counts are read only where the value changes and a run is
+    tested over whole value blocks.
     """
     m, n = values.shape
     if n < 2:
@@ -179,6 +243,13 @@ def _numeric_candidates(values, defined, labels, bounds, segment_ids, n_classes)
         return None
     slots = at // n
     segments = segment_ids[at - slots * n]
+    first = slots * n + starts[segments]  # flat position of the segment's first cell
+    n_defined = np.add.reduceat(defined, starts, axis=1, dtype=np.int64)[slots, segments]
+    keep = _on_boundaries(sorted_labels.ravel(), at, first, first + n_defined - 1,
+                          n_defined < (bounds[1:] - starts)[segments])
+    at, slots, segments, first, n_defined = at[keep], slots[keep], segments[keep], first[keep], n_defined[keep]
+    if at.size == 0:
+        return None
     lower, upper = ordered[at], ordered[at + 1]
     # A midpoint of two adjacent floats can round up onto the larger value,
     # one of huge values overflows to inf, and that of -inf and inf is NaN;
@@ -189,9 +260,9 @@ def _numeric_candidates(values, defined, labels, bounds, segment_ids, n_classes)
     off = ~(thresholds < upper)
     thresholds[off] = lower[off]
     # Cumulative counts with a leading 0 per row: cells lo..hi-1 of a row count cum[hi] - cum[lo].
-    first = slots * (n + 1) + starts[segments]  # the segment's first cell
+    first += slots  # the segment's first cell
     cut = at + slots + 1  # past the threshold's lower value
-    last = first + np.add.reduceat(defined, starts, axis=1, dtype=np.int64)[slots, segments]  # past its defined cells
+    last = first + n_defined  # past its defined cells
     pass_counts = np.empty((at.size, n_classes), dtype=np.int64)
     fail_counts = np.empty_like(pass_counts)
     cum = np.zeros((m, n + 1), dtype=np.int64)
@@ -374,8 +445,8 @@ class TreeModel:
         return _compile(self)
 
 
-def _leaf(counts: np.ndarray) -> LeafNode:
-    return LeafNode(counts=tuple(int(c) for c in counts), prediction=int(np.argmax(counts)))
+def _leaf(counts: list[int]) -> LeafNode:
+    return LeafNode(counts=tuple(counts), prediction=counts.index(max(counts)))  # the first class of most rows
 
 
 def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
@@ -398,17 +469,26 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
     # (test, gain, left id, right id).  Children are numbered after their parent.
     built: list = []
 
-    def add(counts: np.ndarray, depth: int) -> float | None:
-        """Number a node, a leaf at once when it stops by depth, size or entropy; its entropy when it is open."""
-        if depth < params.max_depth and counts.sum() >= params.min_inst:
-            h = entropy(counts)
-            # A split's gain never exceeds the node entropy, so when that
-            # bound already fails the threshold no extension can help.
-            if h > params.min_ig:
-                built.append(counts)
-                return h
-        built.append(_leaf(counts))
-        return None
+    def settle(counts: np.ndarray, depth: int) -> list[tuple[int, float]]:
+        """Number a node per row of class counts, a leaf at once when it stops by depth, size or entropy.
+
+        Returns the (id, entropy) of each open node.  A split's gain never
+        exceeds the node entropy, so when that bound already fails the
+        threshold no extension can help.
+        """
+        sizes, h = _node_entropies(counts)
+        if depth < params.max_depth:
+            is_open = ((sizes >= params.min_inst) & (h > params.min_ig)).tolist()
+        else:
+            is_open = [False] * len(counts)
+        opened = []
+        for row, open_, h_row, prediction in zip(counts.tolist(), is_open, h.tolist(), counts.argmax(axis=1).tolist()):
+            if open_:
+                opened.append((len(built), h_row))
+                built.append(row)
+            else:
+                built.append(LeafNode(counts=tuple(row), prediction=prediction))
+        return opened
 
     def split(table: LocalDataTable, members: list, tests: list, igs: np.ndarray, depth: int):
         """Record the inner nodes ``tests`` make of ``members``; the batch of their open children, or None."""
@@ -418,23 +498,17 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
         child = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
         counts = np.bincount(child * table.n_classes + table.labels[np.concatenate(parts)],
                              minlength=len(parts) * table.n_classes).reshape(len(parts), table.n_classes)
-        kids, keep = [], []
-        j = 0
-        for (node, used, _), test, ig in zip(members, tests, igs):
-            if test is None:
-                continue
-            used = used | {test.descriptor.path}
-            built[node] = (test, float(ig), len(built), len(built) + 1)
-            for _ in range(2):
-                h = add(counts[j], depth + 1)
-                if h is not None:
-                    kids.append((len(built) - 1, used, h))
-                    keep.append(parts[j])
-                j += 1
-        return (partition_ldt(table, keep), kids) if kids else None
+        first = len(built)  # the id of the first child
+        used = []  # of each split node's children
+        for (node, used_above, _), test, ig in zip(members, tests, igs):
+            if test is not None:
+                built[node] = (test, float(ig), first + 2 * len(used), first + 2 * len(used) + 1)
+                used.append(used_above | {test.descriptor.path})
+        kids = [(i, used[(i - first) // 2], h) for i, h in settle(counts, depth + 1)]
+        return (partition_ldt(table, [parts[i - first] for i, _, _ in kids]), kids) if kids else None
 
-    h = add(ldt.class_counts[0], 0)
-    level = [] if h is None else [(ldt, [(0, frozenset(), h)])]
+    opened = settle(ldt.class_counts, 0)
+    level = [(ldt, [(0, frozenset(), opened[0][1])])] if opened else []
     depth = 0
     while level:
         following = []
@@ -618,7 +692,7 @@ class _Request:
                 ids = self.ids
                 inst = JoinInstantiation(router.paths[p], ids, np.arange(len(ids) + 1, dtype=np.int64), ids)
             else:  # the prefix cache: extend the parent path by its last hop
-                inst = join_hop(self.db, self.instantiation(parent), router.paths[p].hops[-1])
+                inst = join_hop(self.db, self.instantiation(parent), router.paths[p])
             self.instantiations[p] = inst
         return inst
 
@@ -662,21 +736,21 @@ def _misfit(where: str, problem: str) -> ModelMismatchError:
     return ModelMismatchError(f"model does not fit the database: {where}: {problem}")
 
 
-def _descriptor_kind(db: Database, d: FeatureDescriptor, where: str, hops: dict[str, list[Hop]]) -> str:
+def _descriptor_kind(db: Database, d: FeatureDescriptor, where: str, hops: dict[str, set[Hop]]) -> str:
     """The kind of the cells ``d`` has on ``db``, or a ModelMismatchError naming ``where``.
 
     Every hop of the path must follow a foreign key of the schema from the
     table the path has reached, and every feature but is-empty must read an
     attribute (a column that is not a key) of the path's terminal table;
     an identity feature also needs a path of many-to-one hops.  ``hops``
-    caches :func:`hops_from` per table.
+    caches the set of :func:`hops_from` per table.
     """
     table = db.catalog.target_table
     if d.path.start != table:
         raise _misfit(f"{where}.path.start", f"the target table is {table!r}, not {d.path.start!r}")
     for j, hop in enumerate(d.path.hops):
         if table not in hops:
-            hops[table] = hops_from(db.catalog, table)
+            hops[table] = set(hops_from(db.catalog, table))
         if hop not in hops[table]:
             raise _misfit(f"{where}.path.hops[{j}]", f"no foreign key of the schema joins {table} to {hop.to_table}"
                           f" on {hop.from_column} = {hop.to_column}")
@@ -720,7 +794,7 @@ def _check_fits(model: TreeModel, db: Database) -> None:
     Tests are read from the router, as prediction reads them: ``<=`` needs
     numeric cells, ``== True`` boolean ones and ``==`` a value categorical ones.
     """
-    hops: dict[str, list[Hop]] = {}
+    hops: dict[str, set[Hop]] = {}
     kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]", hops) for slot, d in enumerate(model.descriptors)]
     for k, (slot, is_le, operand, *_) in enumerate(model._router.inner):
         test, needs = _ROUTER_TESTS[is_le, operand is True]

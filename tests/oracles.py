@@ -13,7 +13,9 @@ replaced, and its ``_score_column``, which scores both undefined routings of
 every candidate, kept for differential tests, ``stratified_folds``, the
 index-at-a-time deal that the engine's fold assignment replaced, and
 ``single_best`` and ``two_children``, which put the engine's segmented search
-and split into the one-node shapes the tests compare.
+and split into the one-node shapes the tests compare, and
+``unpruned_numeric_candidates``, the engine's numeric candidate builder
+before it dropped the thresholds inside runs of one class.
 """
 
 from __future__ import annotations
@@ -661,6 +663,52 @@ def per_column_best_split(ldt):
         if found is not None and (best is None or found[0] > best[0]):
             best = found
     return None if best is None else (best[1], best[0])
+
+
+def unpruned_numeric_candidates(values, defined, labels, bounds, segment_ids, n_classes):
+    """``tree._numeric_candidates`` before it kept only boundary points: every threshold, in the same row shape.
+
+    Returns (slots, segments, pass_counts, fail_counts, thresholds), one row
+    per pair of consecutive distinct defined values of a block row in a
+    segment, ascending within a block row and segment, or None.
+    """
+    m, n = values.shape
+    if n < 2:
+        return None
+    starts = bounds[:-1]
+    order = np.empty((m, n), dtype=np.intp)
+    for lo, hi in zip(starts.tolist(), bounds[1:].tolist()):
+        order[:, lo:hi] = np.argsort(values[:, lo:hi], axis=1)
+        order[:, lo:hi] += lo
+    sorted_labels = labels[order]
+    order += np.arange(0, m * n, n)[:, None]
+    ordered = values.ravel()[order.ravel()]
+    larger = ordered[:-1] < ordered[1:]
+    ends = (np.arange(0, m * n, n)[:, None] + bounds[1:] - 1).ravel()
+    larger[ends[:-1]] = False
+    at = np.flatnonzero(larger)
+    if at.size == 0:
+        return None
+    slots = at // n
+    segments = segment_ids[at - slots * n]
+    lower, upper = ordered[at], ordered[at + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        thresholds = (lower + upper) / 2.0
+    off = ~(thresholds < upper)
+    thresholds[off] = lower[off]
+    first = slots * (n + 1) + starts[segments]
+    cut = at + slots + 1
+    last = first + np.add.reduceat(defined, starts, axis=1, dtype=np.int64)[slots, segments]
+    pass_counts = np.empty((at.size, n_classes), dtype=np.int64)
+    fail_counts = np.empty_like(pass_counts)
+    cum = np.zeros((m, n + 1), dtype=np.int64)
+    flat = cum.ravel()
+    for k in range(n_classes):
+        np.cumsum(sorted_labels == k, axis=1, out=cum[:, 1:])
+        below = flat[cut]
+        pass_counts[:, k] = below - flat[first]
+        fail_counts[:, k] = flat[last] - below
+    return slots, segments, pass_counts, fail_counts, thresholds
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _score_column, exhaustive_split, per_column_best_split, random_micro_db, single_best, two_children
+from oracles import (
+    _score_column,
+    exhaustive_split,
+    per_column_best_split,
+    random_micro_db,
+    single_best,
+    two_children,
+    unpruned_numeric_candidates,
+)
 
 from reltree import tree
 from reltree.eager import propositionalize, train_flat
@@ -280,7 +288,7 @@ def test_a_node_without_undefined_cells_scores_in_one_entropy_pass(monkeypatch):
     ldt = _ldt_from_columns([("numeric", [1.0, 2.0, 3.0, 4.0], None), ("categorical", list("abab"), "ab")],
                             [0, 0, 1, 1])
     assert best_split(ldt, PARAMS)[0] != [None]
-    assert passes == [2 * 5]  # both sides of 3 thresholds and 2 values
+    assert passes == [2 * 3]  # both sides of threshold 2.5 and 2 values; 1.5 and 3.5 lie inside one-class runs
 
 
 def test_the_pass_routing_is_scored_only_on_rows_with_undefined_instances(monkeypatch):
@@ -289,6 +297,134 @@ def test_the_pass_routing_is_scored_only_on_rows_with_undefined_instances(monkey
     undef_counts = np.array([[0, 0], [1, 0], [0, 0], [0, 2]])
     tree._score_candidates(pass_counts, 4 - pass_counts - undef_counts, undef_counts, np.full(4, 8), np.ones(4))
     assert passes == [2 * 4, 2 * 2]
+
+
+# Repeats, infinities and undefined (NaN) cells.
+_BLOCK_VALUES = (-np.inf, -2.0, 0.0, 1.0, 1.5, 2.0, 3.0, np.inf, np.nan)
+
+
+@st.composite
+def _numeric_blocks(draw):
+    """(values, labels, bounds, n_classes) of a numeric block of 1 to 6 segments, runs of one class common."""
+    n_classes = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=6))
+    labels = []
+    for size in sizes:  # a few classes per segment, so that runs of one class are common
+        palette = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=3))
+        labels += draw(st.lists(st.sampled_from(palette), min_size=size, max_size=size))
+    cells = st.lists(st.sampled_from(_BLOCK_VALUES), min_size=len(labels), max_size=len(labels))
+    values = np.array(draw(st.lists(cells, min_size=1, max_size=4)))
+    return values, np.array(labels, dtype=np.int64), np.cumsum([0, *sizes]), n_classes
+
+
+def _numeric_rows(build, values, labels, bounds, n_classes):
+    segment_ids = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return build(values, ~np.isnan(values), labels, bounds, segment_ids, n_classes)
+
+
+def _best_per_row_and_segment(found, labels, bounds, n_classes):
+    """(gain, threshold, route) of the first highest-gain candidate of each (block row, segment)."""
+    slots, segments, pass_counts, fail_counts, thresholds = found
+    class_counts = np.array([np.bincount(labels[lo:hi], minlength=n_classes)
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+    sizes = np.diff(bounds).astype(np.float64)
+    h = np.array([entropy(counts) for counts in class_counts])
+    undef_counts = class_counts[segments] - pass_counts - fail_counts
+    ig, route_is_pass = tree._score_candidates(pass_counts, fail_counts, undef_counts, sizes[segments], h[segments])
+    best = {}
+    for i, key in enumerate(zip(slots.tolist(), segments.tolist())):
+        if key not in best or ig[i] > best[key][0]:
+            best[key] = (ig[i], thresholds[i], route_is_pass[i])
+    return best
+
+
+@settings(max_examples=400, deadline=None)
+@given(_numeric_blocks())
+def test_boundary_thresholds_keep_every_best_test(block):
+    """Dropping the thresholds inside runs of one class keeps a subset that scores the same best test."""
+    values, labels, bounds, n_classes = block
+    got = _numeric_rows(tree._numeric_candidates, *block)
+    want = _numeric_rows(unpruned_numeric_candidates, *block)
+    if want is None:
+        assert got is None
+        return
+
+    def rows(found):
+        slots, segments, pass_counts, fail_counts, thresholds = found
+        return list(zip(slots.tolist(), segments.tolist(), thresholds.tolist(),
+                        map(tuple, pass_counts.tolist()), map(tuple, fail_counts.tolist())))
+
+    kept = rows(got)
+    assert set(kept) <= set(rows(want))
+    assert kept == sorted(kept, key=lambda row: (row[0], row[1]))  # by block row, then segment
+    assert _best_per_row_and_segment(got, labels, bounds, n_classes) == _best_per_row_and_segment(
+        want, labels, bounds, n_classes)
+
+
+def _thresholds(cells, labels, n_classes=3):
+    values = np.array([[np.nan if v is None else v for v in cells]])
+    found = _numeric_rows(tree._numeric_candidates, values, np.array(labels), np.array([0, len(labels)]), n_classes)
+    return [] if found is None else found[4].tolist()
+
+
+# Values 1 and 2 are a run of class 0 that reaches the lowest defined value;
+# the four undefined cells are mostly class 2.
+_LOW_RUN = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, None, None, None, None]
+_LOW_RUN_LABELS = [0, 0, 1, 0, 0, 1, 2, 2, 0, 2]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_run_reaching_an_end_keeps_its_thresholds_when_cells_are_undefined(sign):
+    """The outer end of the run sends every defined cell to one side, a split no threshold makes, so
+    the threshold inside the run is the best test: under the pass routing at the low end, mirrored at the high."""
+    cells = [None if v is None else sign * v for v in _LOW_RUN]
+    assert sign * 1.5 in _thresholds(cells, _LOW_RUN_LABELS)
+    ldt = _ldt_from_columns([("numeric", cells, None)], _LOW_RUN_LABELS)
+    test, ig = single_best(best_split(ldt, PARAMS))
+    assert (test, ig) == per_column_best_split(ldt)
+    assert test.threshold == sign * 1.5 and test.undefined_route == ("pass" if sign == 1 else "fail")
+
+
+def test_a_run_reaching_an_end_drops_its_thresholds_when_no_cell_is_undefined():
+    cells, labels = _LOW_RUN[:6], _LOW_RUN_LABELS[:6]
+    assert _thresholds(cells, labels) == [2.5, 3.5, 5.5]  # 1.5 and 4.5 lie inside runs of class 0
+    ldt = _ldt_from_columns([("numeric", cells, None)], labels)
+    assert single_best(best_split(ldt, PARAMS)) == per_column_best_split(ldt)
+
+
+def test_a_column_of_one_class_keeps_its_thresholds_in_a_pure_node(monkeypatch):
+    """Every gain of a pure node is 0, which clears min_ig=-1: the lowest threshold splits, as with every threshold."""
+    assert _thresholds([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0], n_classes=1) == [1.5, 2.5, 3.5]
+    doc = {"target": "T.y", "tables": [{"name": "T", "columns": [{"id": "pk"}, {"x": "num"}, {"y": "cat"}]}]}
+    rows = {"T": [{"id": str(i), "x": str(i + 1), "y": "a"} for i in range(4)]}
+    db = build_database(catalog_from_dict(doc), rows)
+    params = LearnParams(min_ig=-1.0, min_inst=1)
+    model = grow_tree(db, params)
+    assert isinstance(model.root, InnerNode) and model.root.test.threshold == 1.5
+    monkeypatch.setattr(tree, "_numeric_candidates", unpruned_numeric_candidates)
+    assert serialize_model(model) == serialize_model(grow_tree(db, params))
+
+
+def test_equal_values_make_no_threshold():
+    assert _thresholds([2.0, 2.0, 2.0, None], [0, 1, 2, 0]) == []
+
+
+@st.composite
+def _count_blocks(draw):
+    """Blocks of class counts, 1 to 12 classes, with zero counts common and no all-zero row."""
+    n_classes = draw(st.integers(1, 12))
+    count = st.one_of(st.just(0), st.integers(0, 40))
+    row = st.lists(count, min_size=n_classes, max_size=n_classes).filter(any)
+    return np.array(draw(st.lists(row, min_size=1, max_size=20)), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_blocks())
+def test_node_entropies_equal_entropy_bit_for_bit(counts):
+    """The children's entropies decide which children stay open and are the gains' parent entropies."""
+    sizes, got = tree._node_entropies(counts)
+    assert sizes.tolist() == counts.sum(axis=1).tolist()
+    assert [np.float64(h).tobytes() for h in got] == [np.float64(entropy(row)).tobytes() for row in counts]
 
 
 def _models(db, params):
