@@ -16,11 +16,11 @@ import numpy as np
 
 from .features import BOOLEAN, CATEGORICAL, FeatureColumn, features_for_path
 from .joinpath import JoinInstantiation, JoinPath, candidate_extensions, initial_paths, instantiate, root_instantiation
-from .ldt import LocalDataTable, partition_ldt, target_labels
+from .ldt import LocalDataTable, _check_ids, target_labels, training_rows
 from .params import LearnParams
 from .schema import SchemaCatalog
 from .storage import Database
-from .tree import TreeModel, _check_ids, _grow, model_from_root
+from .tree import TreeModel, _grow, model_from_root
 
 
 class BudgetExceededError(RuntimeError):
@@ -104,11 +104,15 @@ def propositionalize(
 
 
 def train_flat(db: Database, max_path_len: int | None, params: LearnParams, instance_ids=None) -> TreeModel:
-    """Eager baseline learner: propositionalize, then grow from an empty frontier (no extension)."""
-    if instance_ids is None:
-        label_ids, _, _ = target_labels(db)
-        instance_ids = label_ids
-    flat = propositionalize(db, max_path_len, params, instance_ids=instance_ids)
+    """Eager baseline learner: propositionalize, then grow from an empty frontier (no extension).
+
+    Only the rows :func:`training_rows` gives are propositionalized and
+    train: the labeled target rows among ``instance_ids`` (every labeled row
+    when None), each once, as :func:`.tree.grow_tree` trains on.  Raises
+    ``ValueError`` naming the first id outside the target table.
+    """
+    ids, _, _ = training_rows(db, instance_ids)
+    flat = propositionalize(db, max_path_len, params, instance_ids=ids)
     ldt = LocalDataTable(
         instance_ids=flat.instance_ids,
         labels=flat.labels,
@@ -116,9 +120,6 @@ def train_flat(db: Database, max_path_len: int | None, params: LearnParams, inst
         columns=flat.columns,
         frontier={},
     )
-    unlabeled = flat.labels < 0
-    if unlabeled.any():
-        ldt = partition_ldt(ldt, [np.flatnonzero(~unlabeled)])
     root = _grow(db, ldt, params)
     return model_from_root(db, root, params, mode="eager")
 

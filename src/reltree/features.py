@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -136,54 +135,54 @@ class BagAggregates:
         self.seg = _segment_ids(self.lengths)[present]  # the bag of each non-missing value
         self.values = bags.values[present]
 
-    @cached_property
+    @computed_once
     def nonempty(self) -> np.ndarray:
         return self.lengths > 0
 
-    @cached_property
+    @computed_once
     def has_values(self) -> np.ndarray:
         return self._k > 0
 
-    @cached_property
+    @computed_once
     def _k(self) -> np.ndarray:
         return np.bincount(self.seg, minlength=self.n).astype(np.float64)
 
-    @cached_property
+    @computed_once
     def _divisor(self) -> np.ndarray:
         # Bags without values divide by 1 instead of 0; their cells are undefined.
         return np.maximum(self._k, 1.0)
 
-    @cached_property
+    @computed_once
     def _sum(self) -> np.ndarray:
         return np.bincount(self.seg, weights=self.values, minlength=self.n)
 
-    @cached_property
+    @computed_once
     def _avg(self) -> np.ndarray:
         return self._sum / self._divisor
 
-    @cached_property
+    @computed_once
     def _var(self) -> np.ndarray:
         dev = self.values - self._avg[self.seg]
         var = np.bincount(self.seg, weights=dev * dev, minlength=self.n) / self._divisor
         return np.where(self.has_values, np.maximum(var, 0.0), np.nan)  # population variance
 
-    @cached_property
+    @computed_once
     def _std(self) -> np.ndarray:
         return np.sqrt(self._var)
 
-    @cached_property
+    @computed_once
     def _max(self) -> np.ndarray:
         out = np.full(self.n, -np.inf)
         np.maximum.at(out, self.seg, self.values)
         return out
 
-    @cached_property
+    @computed_once
     def _min(self) -> np.ndarray:
         out = np.full(self.n, np.inf)
         np.minimum.at(out, self.seg, self.values)
         return out
 
-    @cached_property
+    @computed_once
     def _distinct(self) -> np.ndarray:
         k_dom = len(self.dictionary)
         if k_dom and self.seg.size:

@@ -21,9 +21,12 @@ from .storage import CategoricalColumn, Database, KeyColumn, NumericColumn
 class computed_once:
     """A read-only attribute computed on its first read and then stored on the instance.
 
-    ``functools.cached_property`` takes a lock on every first read up to
-    Python 3.11, which costs more than the values cached with this.  Being a
-    descriptor without ``__set__``, it works on frozen dataclasses, and the
+    The package's one compute-once mechanism.  ``functools.cached_property``
+    is not used: it takes a lock on every first read up to Python 3.11,
+    which costs more than most values cached with this, and it stores
+    through ``obj.__dict__``, which stops the instance dict sharing its keys
+    and slows every later attribute read of that object.  Being a descriptor
+    without ``__set__``, this works on frozen dataclasses too, and the
     stored value shadows it on later reads.
     """
 

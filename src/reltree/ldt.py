@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,6 +42,7 @@ from .joinpath import (
     JoinInstantiation,
     JoinPath,
     candidate_extensions,
+    computed_once,
     initial_paths,
     instantiate,
     root_instantiation,
@@ -188,17 +188,17 @@ class LocalDataTable:
     def n_segments(self) -> int:
         return len(self.bounds) - 1
 
-    @cached_property
+    @computed_once
     def segment_ids(self) -> np.ndarray:
         """The segment of each row."""
         return np.repeat(np.arange(self.n_segments), self.bounds[1:] - self.bounds[:-1])
 
-    @cached_property
+    @computed_once
     def row_keys(self) -> np.ndarray:
         """``segment * n_classes + label`` of each row: its (segment, class) bin."""
         return self.segment_ids * self.n_classes + self.labels
 
-    @cached_property
+    @computed_once
     def class_counts(self) -> np.ndarray:
         """Class counts of each segment, ``n_segments x n_classes``."""
         counts = np.bincount(self.row_keys, minlength=self.n_segments * self.n_classes)
@@ -229,15 +229,45 @@ def target_labels(db: Database) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]
     return ids, col.codes[ids], col.dictionary
 
 
-def build_root_ldt(db: Database, params: LearnParams, instance_ids=None) -> LocalDataTable:
-    """Root LDT: retained target attributes plus features of every initial path."""
-    all_ids, all_labels, classes = target_labels(db)
+def _outside(instance: int, n_rows: int) -> ValueError:
+    return ValueError(f"instance id {instance} is outside the target table's rows [0, {n_rows})")
+
+
+def _check_ids(instances, n_rows: int) -> np.ndarray:
+    """``instances`` as a 1-D int64 array, in their order; ValueError naming the first id outside ``[0, n_rows)``."""
+    if not isinstance(instances, np.ndarray):
+        instances = list(instances)
+    ids = np.asarray(instances, dtype=np.int64).reshape(-1)
+    outside = (ids < 0) | (ids >= n_rows)
+    if outside.any():
+        raise _outside(int(ids[np.argmax(outside)]), n_rows)
+    return ids
+
+
+def training_rows(db: Database, instance_ids=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The rows both learners train on: (row ids, their class codes, class dictionary).
+
+    They are the labeled target-table rows among ``instance_ids`` (every
+    labeled row when None), ascending and each once, however often or in
+    whatever order an id is requested.  Raises ``ValueError`` naming the
+    first id outside the target table, as ``predict_many`` does, and
+    ``DataError`` when no labeled row is left.
+    """
+    ids, labels, classes = target_labels(db)
     if instance_ids is not None:
-        wanted = np.sort(np.asarray(instance_ids, dtype=np.int64))
-        mask = np.isin(all_ids, wanted)
-        all_ids, all_labels = all_ids[mask], all_labels[mask]
-    if len(all_ids) == 0:
+        n_rows = db.tables[db.catalog.target_table].n_rows
+        requested = np.zeros(n_rows, dtype=bool)
+        requested[_check_ids(instance_ids, n_rows)] = True
+        keep = requested[ids]
+        ids, labels = ids[keep], labels[keep]
+    if len(ids) == 0:
         raise DataError("target table has no labeled instances")
+    return ids, labels, classes
+
+
+def build_root_ldt(db: Database, params: LearnParams, instance_ids=None) -> LocalDataTable:
+    """Root LDT over :func:`training_rows`: retained target attributes plus features of every initial path."""
+    all_ids, all_labels, classes = training_rows(db, instance_ids)
 
     root_inst = root_instantiation(db, all_ids)
     cache: dict[JoinPath, JoinInstantiation] = {root_inst.path: root_inst}

@@ -24,8 +24,7 @@ import json
 import logging
 import re
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -116,6 +115,8 @@ class SchemaCatalog:
     target_attribute: str
     fk_edges: tuple[FkEdge, ...]
     unreachable: tuple[str, ...] = ()
+    # Stable hash of the schema structure (not the data), computed once, when the catalog is made.
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
     def table(self, name: str) -> TableSchema:
         for t in self.tables:
@@ -127,9 +128,7 @@ class SchemaCatalog:
     def table_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tables)
 
-    @cached_property
-    def fingerprint(self) -> str:
-        """Stable hash of the schema structure (not the data), computed once."""
+    def __post_init__(self) -> None:
         doc = {
             "target": f"{self.target_table}.{self.target_attribute}",
             "tables": [
@@ -144,7 +143,7 @@ class SchemaCatalog:
             ],
         }
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        object.__setattr__(self, "fingerprint", hashlib.sha256(blob).hexdigest())
 
 
 def _parse_column(table: str, name, type_str) -> ColumnSpec:

@@ -38,7 +38,6 @@ import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -53,8 +52,17 @@ from .features import (
     FeatureDescriptor,
     feature_cells,
 )
-from .joinpath import Hop, JoinInstantiation, JoinPath, hops_from, join_hop
-from .ldt import LocalDataTable, build_root_ldt, extend_ldt, partition_ldt, split_rows
+from .joinpath import Hop, JoinInstantiation, JoinPath, computed_once, hops_from, join_hop
+from .ldt import (
+    LocalDataTable,
+    _check_ids,
+    _outside,
+    build_root_ldt,
+    extend_ldt,
+    partition_ldt,
+    split_rows,
+    target_labels,
+)
 from .params import LearnParams, params_doc
 from .schema import fingerprint
 from .storage import Database, KeyColumn, NumericColumn
@@ -73,22 +81,15 @@ class ModelMismatchError(ValueError):
     """Database schema does not match the model's fingerprint."""
 
 
-def entropy(counts) -> float:
-    """Shannon entropy in bits of a nonnegative count vector."""
-    c = np.asarray(counts, dtype=np.float64)
-    total = c.sum()
-    if total <= 0:
-        raise ValueError("entropy of an empty distribution")
-    p = c[c > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
 def _row_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(size, entropy in bits) of each row of a float64 block of class counts.
 
-    The block is overwritten with each row's class shares.  An all-zero row
-    divides by 1, so its shares are 0 and both results are 0.  Each row is
-    computed on its own, so its result does not depend on the other rows.
+    The learner's one entropy routine: nodes, candidate sides and
+    :func:`entropy` all go through it, so equal counts get equal bits
+    wherever they are scored.  The block is overwritten with each row's
+    class shares.  An all-zero row divides by 1, so its shares are 0 and
+    both results are 0.  Each row is computed on its own, so its result does
+    not depend on the other rows.
     """
     sizes = counts.sum(axis=1)
     p = np.divide(counts, np.maximum(sizes, 1)[:, None], out=counts)
@@ -97,26 +98,12 @@ def _row_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sizes, -np.multiply(p, logs, out=logs).sum(axis=1)
 
 
-def _weighted_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(size, size x entropy in bits) of each row of a float64 block of class counts, as :func:`_row_entropies`."""
-    sizes, h = _row_entropies(counts)
-    return sizes, sizes * h
-
-
-def _node_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(size, :func:`entropy`) of each row of an integer block of nonempty class counts, bit for bit, in one pass.
-
-    numpy sums a row of 8 or more entries pairwise, and there zero entries
-    group the nonzero terms otherwise than :func:`entropy`'s sum of the
-    nonzero terms alone, so a row of 8 or more classes with a zero count
-    goes through :func:`entropy` itself.  A row of fewer entries, or without
-    zeros, sums the same terms in the same order either way.
-    """
-    sizes, h = _row_entropies(counts.astype(np.float64))
-    if counts.shape[1] >= 8:
-        for i in np.flatnonzero((counts == 0).any(axis=1)).tolist():
-            h[i] = entropy(counts[i])
-    return sizes, h
+def entropy(counts) -> float:
+    """Shannon entropy in bits of a nonnegative count vector: its one row of :func:`_row_entropies`."""
+    sizes, h = _row_entropies(np.array(counts, dtype=np.float64).reshape(1, -1))
+    if sizes[0] <= 0:
+        raise ValueError("entropy of an empty distribution")
+    return float(h[0])
 
 
 @dataclass(frozen=True)
@@ -141,7 +128,8 @@ def _gains(pass_counts, fail_counts, undef_counts, rows, undef_passes: bool, n, 
     m = len(sides) // 2
     undefined_side = sides[:m] if undef_passes else sides[m:]
     undefined_side += undef_counts[rows]
-    sizes, weighted = _weighted_entropies(sides)
+    sizes, h = _row_entropies(sides)
+    weighted = sizes * h
     ig = h_parent - (weighted[:m] + weighted[m:]) / n
     ig[(sizes[:m] == 0) | (sizes[m:] == 0)] = -np.inf
     return ig
@@ -320,17 +308,14 @@ def _boolean_candidates(values, defined, row_keys, n_segments, n_classes):
     return slots, segments, counts[slots, 1, segments], counts[slots, 0, segments], None
 
 
-def best_split(
-    ldt: LocalDataTable, params: LearnParams, h: np.ndarray | None = None
-) -> tuple[list[SplitTest | None], np.ndarray]:
+def best_split(ldt: LocalDataTable, params: LearnParams) -> tuple[list[SplitTest | None], np.ndarray]:
     """Highest-gain valid test of each segment of the LDT: (tests, gains).
 
     ``tests[s]`` is segment ``s``'s test, or None when it has no valid test,
     and ``gains[s]`` its gain (float64, -inf where there is no test).  Each
     segment is searched as a node of its own; a table with one segment is a
-    single node.  ``h`` holds the entropy of each segment's class counts,
-    which the caller may pass when it has them; otherwise they are computed
-    here.
+    single node.  The size and entropy of every segment come from its class
+    counts, in one :func:`_row_entropies` pass.
 
     Each kind's block yields the candidate rows of all its columns in all
     segments at once: numeric thresholds by ascending value, categorical
@@ -363,9 +348,7 @@ def best_split(
     fail_counts = np.concatenate([f[4] for f in found])
     # np.take gathers rows about ten times faster than the fancy index class_counts[segments] (numpy 2.4).
     undef_counts = np.take(ldt.class_counts, segments, axis=0) - pass_counts - fail_counts
-    sizes = (bounds[1:] - bounds[:-1]).astype(np.float64)  # the gains divide by them; int64 would be cast each time
-    if h is None:
-        h = np.array([entropy(counts) for counts in ldt.class_counts])
+    sizes, h = _row_entropies(ldt.class_counts.astype(np.float64))  # float64 sizes: the gains divide by them
     ig, route_pass = _score_candidates(pass_counts, fail_counts, undef_counts, sizes[segments], h[segments])
     np.maximum.at(best, segments, ig)
     top = best[segments]
@@ -440,21 +423,17 @@ class TreeModel:
     def n_nodes(self) -> int:
         return sum(1 for _ in self.iter_nodes())
 
-    @cached_property
+    @computed_once
     def _router(self) -> "_Router":
         return _compile(self)
-
-
-def _leaf(counts: list[int]) -> LeafNode:
-    return LeafNode(counts=tuple(counts), prediction=counts.index(max(counts)))  # the first class of most rows
 
 
 def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
     """The tree grown from a one-segment root table, level by level.
 
     Each level is a list of batches: one table of every open node of that
-    depth that shares a layout, one segment per node, with the ``used``
-    paths of each node's ancestors' tests and the node's entropy beside it.
+    depth that shares a layout, one segment per node, with a ``(node, used)``
+    member per segment: the node's id and the paths of its ancestors' tests.
     A batch is searched by one :func:`best_split` call.  Its nodes whose
     best test clears ``min_ig`` are split together: their children that stop
     by depth, size or entropy become leaves, and the rest are gathered by one
@@ -465,30 +444,24 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
     it would be depth first, so the order of growth does not change the
     model.
     """
-    # Per node id: its class counts while it is open, then a LeafNode or
-    # (test, gain, left id, right id).  Children are numbered after their parent.
+    # Per node id: its LeafNode, until a split replaces it by (test, gain,
+    # left id, right id).  Children are numbered after their parent.
     built: list = []
 
-    def settle(counts: np.ndarray, depth: int) -> list[tuple[int, float]]:
-        """Number a node per row of class counts, a leaf at once when it stops by depth, size or entropy.
+    def settle(counts: np.ndarray, depth: int) -> list[int]:
+        """Number a node per row of class counts, as a leaf; the ids of those that stay open.
 
-        Returns the (id, entropy) of each open node.  A split's gain never
-        exceeds the node entropy, so when that bound already fails the
-        threshold no extension can help.
+        A node stays open unless it stops by depth, size or entropy.  A
+        split's gain never exceeds the node entropy, so when that bound
+        already fails the threshold no extension can help.
         """
-        sizes, h = _node_entropies(counts)
-        if depth < params.max_depth:
-            is_open = ((sizes >= params.min_inst) & (h > params.min_ig)).tolist()
-        else:
-            is_open = [False] * len(counts)
-        opened = []
-        for row, open_, h_row, prediction in zip(counts.tolist(), is_open, h.tolist(), counts.argmax(axis=1).tolist()):
-            if open_:
-                opened.append((len(built), h_row))
-                built.append(row)
-            else:
-                built.append(LeafNode(counts=tuple(row), prediction=prediction))
-        return opened
+        first = len(built)
+        for row, prediction in zip(counts.tolist(), counts.argmax(axis=1).tolist()):  # the first class of most rows
+            built.append(LeafNode(counts=tuple(row), prediction=prediction))
+        if depth >= params.max_depth:
+            return []
+        sizes, h = _row_entropies(counts.astype(np.float64))
+        return (first + np.flatnonzero((sizes >= params.min_inst) & (h > params.min_ig))).tolist()
 
     def split(table: LocalDataTable, members: list, tests: list, igs: np.ndarray, depth: int):
         """Record the inner nodes ``tests`` make of ``members``; the batch of their open children, or None."""
@@ -500,33 +473,29 @@ def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
                              minlength=len(parts) * table.n_classes).reshape(len(parts), table.n_classes)
         first = len(built)  # the id of the first child
         used = []  # of each split node's children
-        for (node, used_above, _), test, ig in zip(members, tests, igs):
+        for (node, used_above), test, ig in zip(members, tests, igs):
             if test is not None:
                 built[node] = (test, float(ig), first + 2 * len(used), first + 2 * len(used) + 1)
                 used.append(used_above | {test.descriptor.path})
-        kids = [(i, used[(i - first) // 2], h) for i, h in settle(counts, depth + 1)]
-        return (partition_ldt(table, [parts[i - first] for i, _, _ in kids]), kids) if kids else None
+        kids = [(i, used[(i - first) // 2]) for i in settle(counts, depth + 1)]
+        return (partition_ldt(table, [parts[i - first] for i, _ in kids]), kids) if kids else None
 
-    opened = settle(ldt.class_counts, 0)
-    level = [(ldt, [(0, frozenset(), opened[0][1])])] if opened else []
+    level = [(ldt, [(0, frozenset())])] if settle(ldt.class_counts, 0) else []
     depth = 0
     while level:
         following = []
         for table, members in level:
-            h = np.array([member[2] for member in members])
-            tests, igs = best_split(table, params, h)
+            tests, igs = best_split(table, params)
             chosen: list[SplitTest | None] = [None] * len(members)
-            for s, (node, used, _) in enumerate(members):
+            for s, (node, used) in enumerate(members):
                 if igs[s] > params.min_ig:
                     chosen[s] = tests[s]
                     continue
                 extended = extend_ldt(db, table.segment(s), params, used)
                 if extended is not None:
-                    ext_tests, ext_igs = best_split(extended, params, h[s : s + 1])
+                    ext_tests, ext_igs = best_split(extended, params)
                     if ext_igs[0] > params.min_ig:
                         following.append(split(extended, [members[s]], ext_tests, ext_igs, depth))
-                        continue
-                built[node] = _leaf(built[node])
             following.append(split(table, members, chosen, igs, depth))
         level = [batch for batch in following if batch is not None]
         depth += 1
@@ -544,8 +513,6 @@ def _collect_descriptors(root: TreeNode) -> tuple[FeatureDescriptor, ...]:
 
 
 def model_from_root(db: Database, root: TreeNode, params: LearnParams, mode: str) -> TreeModel:
-    from .ldt import target_labels
-
     _, _, classes = target_labels(db)
     return TreeModel(
         root=root,
@@ -558,7 +525,12 @@ def model_from_root(db: Database, root: TreeNode, params: LearnParams, mode: str
 
 
 def grow_tree(db: Database, params: LearnParams, instance_ids=None) -> TreeModel:
-    """Learn a tree lazily over the database (optionally on an instance subset)."""
+    """Learn a tree lazily over the database.
+
+    It trains on the rows :func:`.ldt.training_rows` gives: the labeled target
+    rows among ``instance_ids`` (every labeled row when None), each once.
+    Raises ``ValueError`` naming the first id outside the target table.
+    """
     ldt = build_root_ldt(db, params, instance_ids)
     root = _grow(db, ldt, params)
     return model_from_root(db, root, params, mode=f"lazy-{params.strategy}")
@@ -815,21 +787,6 @@ def check_compatible(model: TreeModel, db: Database) -> None:
     if model._fits is None or model._fits() is not db:
         _check_fits(model, db)
         model._fits = weakref.ref(db)
-
-
-def _outside(instance: int, n_rows: int) -> ValueError:
-    return ValueError(f"instance id {instance} is outside the target table's rows [0, {n_rows})")
-
-
-def _check_ids(instances, n_rows: int) -> np.ndarray:
-    """``instances`` as a 1-D int64 array, in their order; ValueError naming the first id outside ``[0, n_rows)``."""
-    if not isinstance(instances, np.ndarray):
-        instances = list(instances)
-    ids = np.asarray(instances, dtype=np.int64).reshape(-1)
-    outside = (ids < 0) | (ids >= n_rows)
-    if outside.any():
-        raise _outside(int(ids[np.argmax(outside)]), n_rows)
-    return ids
 
 
 def predict(model: TreeModel, db: Database, instance: int) -> Prediction:

@@ -13,11 +13,11 @@ from reltree.eager import (
     train_flat,
 )
 from reltree.evaluate import SchoolSpec, generate_school_db
-from reltree.ldt import build_root_ldt
+from reltree.ldt import build_root_ldt, training_rows
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
 from reltree.storage import build_database
-from reltree.tree import InnerNode, grow_tree
+from reltree.tree import InnerNode, grow_tree, serialize_model
 
 PARAMS = LearnParams()
 
@@ -166,3 +166,21 @@ def test_propositionalize_refuses_an_id_outside_the_target_table(school_db, ids,
     """As predict_many does: -1 would take the last row's label, 7 end in a bare IndexError."""
     with pytest.raises(ValueError, match=rf"^instance id {bad} is outside the target table's rows \[0, 4\)$"):
         propositionalize(school_db, None, PARAMS, instance_ids=ids)
+
+
+@pytest.mark.parametrize("learn", [grow_tree, lambda db, params, ids: train_flat(db, 2, params, ids)],
+                         ids=["lazy", "eager"])
+def test_both_learners_train_on_each_labeled_requested_row_once(school_db, learn):
+    """One training-row rule: an id outside the table is refused, a repeated id trains once, an unlabeled one not at all."""
+    from conftest import school_doc, school_rows
+
+    params = LearnParams(min_inst=1)
+    with pytest.raises(ValueError, match=r"^instance id 99 is outside the target table's rows \[0, 4\)$"):
+        learn(school_db, params, [0, 1, 2, 3, 99])
+    once = serialize_model(learn(school_db, params, [0, 1, 2, 3]))
+    assert serialize_model(learn(school_db, params, [0, 0, 0, 1, 2, 3])) == once
+    rows = school_rows()
+    rows["Professor"].append({"PID": "p_quirrell", "MID": "m1", "popular": ""})  # row 4, no label
+    db = build_database(catalog_from_dict(school_doc()), rows)
+    assert training_rows(db, [3, 4, 3, 1])[0].tolist() == [1, 3]
+    assert serialize_model(learn(db, params, [3, 4, 3, 1, 0, 2])) == once

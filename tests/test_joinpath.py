@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from reltree.features import features_for_path
 from reltree.joinpath import (
     JoinPath,
     candidate_extensions,
+    computed_once,
     empty_path,
     extend_instantiation,
     initial_paths,
@@ -17,6 +20,35 @@ from reltree.joinpath import (
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
 from reltree.storage import build_database
+
+
+def test_computed_once_computes_once_per_instance_and_stores_the_value_on_it():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Frozen:
+        x: int
+
+        @computed_once
+        def double(self):
+            calls.append(self)
+            return 2 * self.x
+
+    class Plain:
+        def __init__(self, x):
+            self.x = x
+
+        @computed_once
+        def double(self):
+            calls.append(self)
+            return 2 * self.x
+
+    for cls in (Frozen, Plain):
+        calls.clear()
+        a, b = cls(1), cls(2)
+        assert [a.double, a.double, b.double, a.double, b.double] == [2, 2, 4, 2, 4]
+        assert len(calls) == 2 and calls[0] is a and calls[1] is b
+        assert vars(a)["double"] == 2 and vars(b)["double"] == 4
 
 
 def _path_by_render(paths, render):

@@ -160,6 +160,22 @@ def test_each_tested_feature_is_computed_once_per_request(monkeypatch):
     assert set(calls) <= set(model.descriptors)
 
 
+def test_a_model_compiles_its_router_once(monkeypatch):
+    data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
+    model = grow_tree(data.db, LearnParams())
+    compiled = []
+    real = tree_module._compile
+
+    def counting(m):
+        compiled.append(m)
+        return real(m)
+
+    monkeypatch.setattr(tree_module, "_compile", counting)
+    first = predict_many(model, data.db, range(150))
+    assert predict_many(model, data.db, range(150)) == first
+    assert len(compiled) == 1 and compiled[0] is model
+
+
 def test_a_finished_request_leaves_no_cyclic_garbage():
     data = generate_school_db(53, SchoolSpec(n_professors=80, rule="avg_grade", label_noise=0.1))
     model = grow_tree(data.db, LearnParams())

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     _score_column,
+    entropy as oracle_entropy,
     exhaustive_split,
     per_column_best_split,
     random_micro_db,
@@ -271,15 +272,15 @@ def test_score_candidates_equals_scoring_both_routings_of_every_row(rows, n, h_p
 
 
 def _count_entropy_passes(monkeypatch):
-    """The number of count rows of each entropy pass, in order."""
+    """The number of count rows of each entropy pass, in order: both sides of each candidate row ``_gains`` scores."""
     rows = []
-    weighted = tree._weighted_entropies
+    gains = tree._gains
 
-    def counted(counts):
-        rows.append(len(counts))
-        return weighted(counts)
+    def counted(pass_counts, fail_counts, undef_counts, scored, *rest):
+        rows.append(2 * len(pass_counts[scored]))
+        return gains(pass_counts, fail_counts, undef_counts, scored, *rest)
 
-    monkeypatch.setattr(tree, "_weighted_entropies", counted)
+    monkeypatch.setattr(tree, "_gains", counted)
     return rows
 
 
@@ -420,11 +421,13 @@ def _count_blocks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_count_blocks())
-def test_node_entropies_equal_entropy_bit_for_bit(counts):
-    """The children's entropies decide which children stay open and are the gains' parent entropies."""
-    sizes, got = tree._node_entropies(counts)
+def test_row_entropies_equal_entropy_bit_for_bit_and_the_oracle(counts):
+    """One routine: a row's entropy in a block is entropy() of the row, bit for bit, and the textbook sum."""
+    sizes, got = tree._row_entropies(counts.astype(np.float64))
     assert sizes.tolist() == counts.sum(axis=1).tolist()
     assert [np.float64(h).tobytes() for h in got] == [np.float64(entropy(row)).tobytes() for row in counts]
+    for h, row in zip(got.tolist(), counts.tolist()):
+        assert h == pytest.approx(oracle_entropy(row), rel=0, abs=1e-12)
 
 
 def _models(db, params):
