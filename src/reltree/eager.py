@@ -23,8 +23,11 @@ from .storage import Database
 from .tree import TreeModel, _grow, model_from_root
 
 
+MAX_FLAT_CELLS = 100_000_000
+
+
 class BudgetExceededError(RuntimeError):
-    """The flat table outgrew the configured cell budget."""
+    """The flat table outgrew :data:`MAX_FLAT_CELLS`."""
 
 
 @dataclass(eq=False)
@@ -59,17 +62,11 @@ def enumerate_paths(catalog: SchemaCatalog, max_path_len: int | None = None) -> 
     return sorted(out, key=JoinPath.sort_key)
 
 
-def propositionalize(
-    db: Database,
-    max_path_len: int | None,
-    params: LearnParams,
-    instance_ids=None,
-    max_cells: int | None = 100_000_000,
-) -> FlatTable:
+def propositionalize(db: Database, max_path_len: int | None, params: LearnParams, instance_ids=None) -> FlatTable:
     """Materialize all features up to the path-length bound into a flat table.
 
-    Raises ``ValueError`` naming the first of ``instance_ids`` that is not a
-    row of the target table.
+    Raises ``ValueError`` naming an id that is not an integer row of the
+    target table, and ``BudgetExceededError`` past :data:`MAX_FLAT_CELLS` cells.
     """
     if max_path_len is not None and max_path_len < 1:
         raise ValueError("max_path_len must be >= 1")
@@ -92,9 +89,9 @@ def propositionalize(
         inst = instantiate(db, path, cache)
         new_cols = features_for_path(db, inst, params)
         cells += len(new_cols) * len(ids)
-        if max_cells is not None and cells > max_cells:
+        if cells > MAX_FLAT_CELLS:
             raise BudgetExceededError(
-                f"flat table exceeds {max_cells} cells while materializing path {path.render()}"
+                f"flat table exceeds {MAX_FLAT_CELLS} cells while materializing path {path.render()}"
             )
         columns.extend(new_cols)
 
@@ -109,7 +106,7 @@ def train_flat(db: Database, max_path_len: int | None, params: LearnParams, inst
     Only the rows :func:`training_rows` gives are propositionalized and
     train: the labeled target rows among ``instance_ids`` (every labeled row
     when None), each once, as :func:`.tree.grow_tree` trains on.  Raises
-    ``ValueError`` naming the first id outside the target table.
+    ``ValueError`` naming an id that is not an integer row of the target table.
     """
     ids, _, _ = training_rows(db, instance_ids)
     flat = propositionalize(db, max_path_len, params, instance_ids=ids)

@@ -1,10 +1,11 @@
 """Forward-only join paths and their cached per-instance instantiations.
 
-A path starts at the target table and moves to strictly deeper tables without
-revisiting any.  Reaching an associative link table immediately continues
-through its remaining neighbors (lookahead); a path never terminates at an
-associative table.  An instantiation stores, for each target instance, the
-bag of terminal-table row ids it reaches, with multiplicities (bag semantics,
+A path starts at the target table and moves to strictly deeper tables, so it
+never revisits one: depth rises at every hop, associative ones included.
+Reaching an associative link table immediately continues through its
+remaining neighbors (lookahead); a path never terminates at an associative
+table.  An instantiation stores, for each target instance, the bag of
+terminal-table row ids it reaches, with multiplicities (bag semantics,
 matching an SQL join without DISTINCT).
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import SchemaCatalog, is_associative, neighbors, table_depths
+from .schema import Hop, SchemaCatalog, is_associative, neighbors, table_depths
 from .storage import CategoricalColumn, Database, KeyColumn, NumericColumn
 
 
@@ -40,30 +41,6 @@ class computed_once:
         value = self.compute(obj)
         object.__setattr__(obj, self.name, value)  # not through obj.__dict__, which would stop it sharing keys
         return value
-
-
-@dataclass(frozen=True)
-class Hop:
-    """One traversed edge; ``label`` is the edge's foreign-key column name.
-
-    ``many_to_one`` is true when the hop lands on the destination table's
-    primary key, so each source row matches at most one destination row.
-    """
-
-    from_table: str
-    from_column: str
-    to_table: str
-    to_column: str
-    label: str
-    many_to_one: bool
-
-    def __post_init__(self) -> None:
-        # The dataclass's own hash, computed once: hops key sets and dicts.
-        fields = (self.from_table, self.from_column, self.to_table, self.to_column, self.label, self.many_to_one)
-        object.__setattr__(self, "_hash", hash(fields))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -135,28 +112,12 @@ def empty_path(catalog: SchemaCatalog) -> JoinPath:
     return JoinPath(start=catalog.target_table)
 
 
-def hops_from(catalog: SchemaCatalog, table: str) -> list[Hop]:
-    """Every hop out of ``table`` along a foreign key of the schema, in either direction."""
-    return [
-        Hop(
-            from_table=table,
-            from_column=adj.column,
-            to_table=adj.neighbor,
-            to_column=adj.neighbor_column,
-            label=adj.fk_column,
-            many_to_one=adj.to_primary,
-        )
-        for adj in neighbors(catalog, table)
-    ]
-
-
 def _walk(catalog: SchemaCatalog, depths: dict[str, int], path: JoinPath) -> list[JoinPath]:
     """One-step extensions of ``path``, continued through associative tables until each ends on a data table."""
     terminal = path.terminal_table
-    visited = set(path.tables)
     out: list[JoinPath] = []
-    for hop in hops_from(catalog, terminal):
-        if hop.to_table in visited or depths.get(hop.to_table, -1) <= depths[terminal]:
+    for hop in neighbors(catalog, terminal):
+        if depths[hop.to_table] <= depths[terminal]:
             continue
         ext = path.extended(hop)
         out.extend(_walk(catalog, depths, ext) if is_associative(catalog, hop.to_table) else [ext])
@@ -169,7 +130,7 @@ def initial_paths(catalog: SchemaCatalog) -> list[JoinPath]:
 
 
 def candidate_extensions(catalog: SchemaCatalog, path: JoinPath) -> list[JoinPath]:
-    """One-step extensions of ``path``: unvisited, strictly deeper neighbors."""
+    """One-step extensions of ``path``: its strictly deeper neighbors."""
     return sorted(_walk(catalog, table_depths(catalog), path), key=JoinPath.sort_key)
 
 

@@ -233,11 +233,33 @@ def _outside(instance: int, n_rows: int) -> ValueError:
     return ValueError(f"instance id {instance} is outside the target table's rows [0, {n_rows})")
 
 
+def _is_integer_id(instance) -> bool:
+    return isinstance(instance, (int, np.integer)) and not isinstance(instance, bool)
+
+
+def _not_integer(instance) -> ValueError:
+    if isinstance(instance, np.generic):
+        instance = instance.item()
+    return ValueError(f"instance id {instance!r} is not an integer")
+
+
 def _check_ids(instances, n_rows: int) -> np.ndarray:
-    """``instances`` as a 1-D int64 array, in their order; ValueError naming the first id outside ``[0, n_rows)``."""
+    """``instances`` as a 1-D int64 array, in their order.
+
+    Unless numpy reads the ids as integers, ValueError names the first that
+    is not an int (a float, bool or string is never truncated); else it
+    names the first id outside ``[0, n_rows)``.
+    """
     if not isinstance(instances, np.ndarray):
         instances = list(instances)
-    ids = np.asarray(instances, dtype=np.int64).reshape(-1)
+    ids = np.asarray(instances).reshape(-1)
+    if ids.size and ids.dtype.kind not in "iu":
+        # Read the request as given: numpy turns [0, "a"] into strings.
+        values = instances if isinstance(instances, list) else ids.tolist()
+        bad = [v for v in values if not _is_integer_id(v)]
+        if bad:
+            raise _not_integer(bad[0])
+    ids = ids.astype(np.int64, copy=False)
     outside = (ids < 0) | (ids >= n_rows)
     if outside.any():
         raise _outside(int(ids[np.argmax(outside)]), n_rows)
@@ -249,9 +271,9 @@ def training_rows(db: Database, instance_ids=None) -> tuple[np.ndarray, np.ndarr
 
     They are the labeled target-table rows among ``instance_ids`` (every
     labeled row when None), ascending and each once, however often or in
-    whatever order an id is requested.  Raises ``ValueError`` naming the
-    first id outside the target table, as ``predict_many`` does, and
-    ``DataError`` when no labeled row is left.
+    whatever order an id is requested.  Raises ``ValueError`` naming an id
+    that is not an integer row of the target table, as ``predict_many``
+    does, and ``DataError`` when no labeled row is left.
     """
     ids, labels, classes = target_labels(db)
     if instance_ids is not None:
@@ -261,7 +283,8 @@ def training_rows(db: Database, instance_ids=None) -> tuple[np.ndarray, np.ndarr
         keep = requested[ids]
         ids, labels = ids[keep], labels[keep]
     if len(ids) == 0:
-        raise DataError("target table has no labeled instances")
+        raise DataError("target table has no labeled instances" if instance_ids is None
+                        else "none of the requested rows is a labeled target-table row")
     return ids, labels, classes
 
 

@@ -15,6 +15,11 @@ Column types are ``pk`` (primary key), ``fk(Table.Column)`` (foreign key),
 ``num`` (numeric attribute) and ``cat`` (categorical attribute).  Foreign-key
 edges are treated as undirected for traversal purposes; direction only
 matters for join multiplicity.
+
+The catalog holds its foreign-key graph, computed once, when it is made:
+each table's shortest-hop depth from the target table and the hops out of
+each table, as :class:`Hop`, the package's one edge type.
+:func:`table_depths` and :func:`neighbors` return these stored facts.
 """
 
 from __future__ import annotations
@@ -92,20 +97,27 @@ class FkEdge:
 
 
 @dataclass(frozen=True)
-class Adjacency:
-    """One traversable edge endpoint as seen from ``table``.
+class Hop:
+    """One traversed edge; ``label`` is the edge's foreign-key column name.
 
-    ``to_primary`` is true when the far side is the neighbor's primary key,
-    i.e. the hop is many-to-one.  ``fk_column`` names the foreign-key column
-    of the underlying edge and is used to label hops in rendered path names.
+    ``many_to_one`` is true when the hop lands on the destination table's
+    primary key, so each source row matches at most one destination row.
     """
 
-    table: str
-    column: str
-    neighbor: str
-    neighbor_column: str
-    fk_column: str
-    to_primary: bool
+    from_table: str
+    from_column: str
+    to_table: str
+    to_column: str
+    label: str
+    many_to_one: bool
+
+    def __post_init__(self) -> None:
+        # The dataclass's own hash, computed once: hops key sets and dicts.
+        fields = (self.from_table, self.from_column, self.to_table, self.to_column, self.label, self.many_to_one)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -115,14 +127,17 @@ class SchemaCatalog:
     target_attribute: str
     fk_edges: tuple[FkEdge, ...]
     unreachable: tuple[str, ...] = ()
-    # Stable hash of the schema structure (not the data), computed once, when the catalog is made.
+    # Computed once, when the catalog is made: the stable hash of the structure (not the data) and the graph.
     fingerprint: str = field(init=False, repr=False, compare=False)
+    depths: dict[str, int] = field(init=False, repr=False, compare=False)
+    hops: dict[str, tuple[Hop, ...]] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, TableSchema] = field(init=False, repr=False, compare=False)
 
     def table(self, name: str) -> TableSchema:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise SchemaError(f"unknown table {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"unknown table {name!r}") from None
 
     @property
     def table_names(self) -> tuple[str, ...]:
@@ -144,6 +159,14 @@ class SchemaCatalog:
         }
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         object.__setattr__(self, "fingerprint", hashlib.sha256(blob).hexdigest())
+        object.__setattr__(self, "depths", _fk_depths(self.target_table, self.fk_edges))
+        # Per edge in declaration order, the hop out of the foreign-key side, then the one out of the primary-key side.
+        hops: dict[str, list[Hop]] = {t.name: [] for t in self.tables}
+        for e in self.fk_edges:
+            hops[e.fk_table].append(Hop(e.fk_table, e.fk_column, e.pk_table, e.pk_column, e.fk_column, many_to_one=True))
+            hops[e.pk_table].append(Hop(e.pk_table, e.pk_column, e.fk_table, e.fk_column, e.fk_column, many_to_one=False))
+        object.__setattr__(self, "hops", {name: tuple(hs) for name, hs in hops.items()})
+        object.__setattr__(self, "_by_name", {t.name: t for t in self.tables})
 
 
 def _parse_column(table: str, name, type_str) -> ColumnSpec:
@@ -305,23 +328,17 @@ def _fk_depths(start: str, edges) -> dict[str, int]:
 
 def table_depths(catalog: SchemaCatalog) -> dict[str, int]:
     """Shortest-hop distance of every reachable table from the target table."""
-    return _fk_depths(catalog.target_table, catalog.fk_edges)
+    return catalog.depths
 
 
-def neighbors(catalog: SchemaCatalog, table: str) -> list[Adjacency]:
-    """All traversable edge endpoints incident to ``table``.
+def neighbors(catalog: SchemaCatalog, table: str) -> tuple[Hop, ...]:
+    """Every hop out of ``table`` along a foreign key of the schema, in either direction.
 
     An edge between the same table pair on different column pairs yields
-    distinct entries.
+    distinct hops; a self-referencing edge yields both of its directions.
     """
     catalog.table(table)  # raises on unknown table
-    out: list[Adjacency] = []
-    for e in catalog.fk_edges:
-        if e.fk_table == table:
-            out.append(Adjacency(table, e.fk_column, e.pk_table, e.pk_column, e.fk_column, to_primary=True))
-        if e.pk_table == table:
-            out.append(Adjacency(table, e.pk_column, e.fk_table, e.fk_column, e.fk_column, to_primary=False))
-    return out
+    return catalog.hops[table]
 
 
 def is_associative(catalog: SchemaCatalog, table: str) -> bool:

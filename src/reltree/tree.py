@@ -52,10 +52,12 @@ from .features import (
     FeatureDescriptor,
     feature_cells,
 )
-from .joinpath import Hop, JoinInstantiation, JoinPath, computed_once, hops_from, join_hop
+from .joinpath import JoinInstantiation, JoinPath, computed_once, join_hop
 from .ldt import (
     LocalDataTable,
     _check_ids,
+    _is_integer_id,
+    _not_integer,
     _outside,
     build_root_ldt,
     extend_ldt,
@@ -64,7 +66,7 @@ from .ldt import (
     target_labels,
 )
 from .params import LearnParams, params_doc
-from .schema import fingerprint
+from .schema import Hop, fingerprint, neighbors
 from .storage import Database, KeyColumn, NumericColumn
 
 MODEL_FORMAT = "reltree-model"
@@ -529,7 +531,7 @@ def grow_tree(db: Database, params: LearnParams, instance_ids=None) -> TreeModel
 
     It trains on the rows :func:`.ldt.training_rows` gives: the labeled target
     rows among ``instance_ids`` (every labeled row when None), each once.
-    Raises ``ValueError`` naming the first id outside the target table.
+    Raises ``ValueError`` naming an id that is not an integer row of the target table.
     """
     ldt = build_root_ldt(db, params, instance_ids)
     root = _grow(db, ldt, params)
@@ -708,22 +710,19 @@ def _misfit(where: str, problem: str) -> ModelMismatchError:
     return ModelMismatchError(f"model does not fit the database: {where}: {problem}")
 
 
-def _descriptor_kind(db: Database, d: FeatureDescriptor, where: str, hops: dict[str, set[Hop]]) -> str:
+def _descriptor_kind(db: Database, d: FeatureDescriptor, where: str) -> str:
     """The kind of the cells ``d`` has on ``db``, or a ModelMismatchError naming ``where``.
 
     Every hop of the path must follow a foreign key of the schema from the
     table the path has reached, and every feature but is-empty must read an
     attribute (a column that is not a key) of the path's terminal table;
-    an identity feature also needs a path of many-to-one hops.  ``hops``
-    caches the set of :func:`hops_from` per table.
+    an identity feature also needs a path of many-to-one hops.
     """
     table = db.catalog.target_table
     if d.path.start != table:
         raise _misfit(f"{where}.path.start", f"the target table is {table!r}, not {d.path.start!r}")
     for j, hop in enumerate(d.path.hops):
-        if table not in hops:
-            hops[table] = set(hops_from(db.catalog, table))
-        if hop not in hops[table]:
+        if hop not in neighbors(db.catalog, table):
             raise _misfit(f"{where}.path.hops[{j}]", f"no foreign key of the schema joins {table} to {hop.to_table}"
                           f" on {hop.from_column} = {hop.to_column}")
         table = hop.to_table
@@ -766,8 +765,7 @@ def _check_fits(model: TreeModel, db: Database) -> None:
     Tests are read from the router, as prediction reads them: ``<=`` needs
     numeric cells, ``== True`` boolean ones and ``==`` a value categorical ones.
     """
-    hops: dict[str, set[Hop]] = {}
-    kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]", hops) for slot, d in enumerate(model.descriptors)]
+    kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]") for slot, d in enumerate(model.descriptors)]
     for k, (slot, is_le, operand, *_) in enumerate(model._router.inner):
         test, needs = _ROUTER_TESTS[is_le, operand is True]
         if kinds[slot] != needs:
@@ -794,10 +792,12 @@ def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
 
     The one id is checked in Python rather than through ``predict_many``'s
     request arrays, whose numpy calls cost more than routing a row through a
-    shallow tree.  Raises ``ValueError`` when the id is not a row of the
-    target table.
+    shallow tree.  Raises ``ValueError`` when the id is not an ``int`` or
+    ``np.integer`` (a bool is refused) or is not a row of the target table.
     """
     check_compatible(model, db)
+    if not _is_integer_id(instance):
+        raise _not_integer(instance)
     i = int(instance)
     n_rows = db.tables[db.catalog.target_table].n_rows
     if not 0 <= i < n_rows:
@@ -812,8 +812,8 @@ def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
     the tree reaches once, and each tested feature is computed once, for all
     of them, when the first row reaches a node that tests it, by the same code
     that built the training columns.  Rows are then routed through the tree
-    over those cells.  Raises ``ValueError`` naming the first id that is not
-    a row of the target table.  Prediction adds nothing to ``db.stats``.
+    over those cells.  Raises ``ValueError`` naming an id that is not an
+    integer row of the target table.  Prediction adds nothing to ``db.stats``.
     """
     check_compatible(model, db)
     ids = _check_ids(instances, db.tables[db.catalog.target_table].n_rows)

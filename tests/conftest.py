@@ -70,6 +70,15 @@ def school_doc():
     return copy.deepcopy(SCHOOL_DOC)
 
 
+def self_referencing_school_doc():
+    """The school schema plus a self-referencing key on each of two tables."""
+    doc = school_doc()
+    tables = {t["name"]: t for t in doc["tables"]}
+    tables["Professor"]["columns"].append({"mentor": "fk(Professor.PID)"})
+    tables["Student"]["columns"].append({"buddy": "fk(Student.SID)"})
+    return doc
+
+
 def school_rows():
     return copy.deepcopy(SCHOOL_ROWS)
 

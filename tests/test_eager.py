@@ -1,9 +1,12 @@
 import csv
+import re
 
+import numpy as np
 import pytest
 
 from oracles import flat_cells, random_micro_db
 
+import reltree.eager as eager_module
 from reltree.eager import (
     BudgetExceededError,
     enumerate_paths,
@@ -16,8 +19,8 @@ from reltree.evaluate import SchoolSpec, generate_school_db
 from reltree.ldt import build_root_ldt, training_rows
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
-from reltree.storage import build_database
-from reltree.tree import InnerNode, grow_tree, serialize_model
+from reltree.storage import DataError, build_database
+from reltree.tree import InnerNode, grow_tree, predict, predict_many, serialize_model
 
 PARAMS = LearnParams()
 
@@ -156,9 +159,10 @@ def test_enumerate_paths_unbounded_terminates(school_catalog):
     ]
 
 
-def test_budget_exceeded_names_path(school_db):
+def test_budget_exceeded_names_path(school_db, monkeypatch):
+    monkeypatch.setattr(eager_module, "MAX_FLAT_CELLS", 10)
     with pytest.raises(BudgetExceededError, match="Professor->"):
-        propositionalize(school_db, 3, PARAMS, max_cells=10)
+        propositionalize(school_db, 3, PARAMS)
 
 
 @pytest.mark.parametrize("ids, bad", [([-1, 0], -1), ([7], 7), ([0, 4, -2], 4)])
@@ -184,3 +188,58 @@ def test_both_learners_train_on_each_labeled_requested_row_once(school_db, learn
     db = build_database(catalog_from_dict(school_doc()), rows)
     assert training_rows(db, [3, 4, 3, 1])[0].tolist() == [1, 3]
     assert serialize_model(learn(db, params, [3, 4, 3, 1, 0, 2])) == once
+
+
+@pytest.mark.parametrize("ids, bad", [
+    ([2.9, 1.9], 2.9),
+    (np.array([2.0, 3.0]), 2.0),
+    ([0, 1.5], 1.5),
+    (["3"], "3"),
+    ([0, "a"], "a"),
+    ([True], True),
+    (np.array([False, True]), False),
+    ([1, None], None),
+])
+def test_every_entry_point_refuses_non_integer_ids(school_db, ids, bad):
+    """A float, bool, string or object id is refused, naming the first such id, not truncated to a row."""
+    model = grow_tree(school_db, LearnParams(min_inst=1))
+    message = rf"^instance id {re.escape(repr(bad))} is not an integer$"
+    entry_points = [
+        lambda: grow_tree(school_db, PARAMS, ids),
+        lambda: train_flat(school_db, 2, PARAMS, ids),
+        lambda: propositionalize(school_db, 2, PARAMS, instance_ids=ids),
+        lambda: predict_many(model, school_db, ids),
+        lambda: predict(model, school_db, bad),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match=message):
+            call()
+    for scalar, shown in ((np.float64(1.0), "1.0"), (np.bool_(True), "True")):
+        with pytest.raises(ValueError, match=rf"^instance id {shown} is not an integer$"):
+            predict(model, school_db, scalar)
+
+
+def test_integer_ids_of_any_integer_type_are_accepted(school_db):
+    model = grow_tree(school_db, LearnParams(min_inst=1))
+    expected = predict_many(model, school_db, [0, 1, 2, 3])
+    for ids in (np.arange(4, dtype=np.uint8), np.arange(4, dtype=np.int32), range(4)):
+        assert predict_many(model, school_db, ids) == expected
+    assert predict(model, school_db, np.int32(2)) == expected[2]
+    assert predict_many(model, school_db, []) == []
+    assert propositionalize(school_db, 2, PARAMS, instance_ids=[]).n_rows == 0
+
+
+@pytest.mark.parametrize("learn", [grow_tree, lambda db, params, ids: train_flat(db, 2, params, ids)],
+                         ids=["lazy", "eager"])
+def test_both_learners_say_when_no_requested_row_is_labeled(school_db, learn):
+    """The target table has labeled rows; the request just names none of them."""
+    from conftest import school_doc, school_rows
+
+    message = "^none of the requested rows is a labeled target-table row$"
+    with pytest.raises(DataError, match=message):
+        learn(school_db, PARAMS, [])
+    rows = school_rows()
+    rows["Professor"].append({"PID": "p_quirrell", "MID": "m1", "popular": ""})  # row 4, no label
+    db = build_database(catalog_from_dict(school_doc()), rows)
+    with pytest.raises(DataError, match=message):
+        learn(db, PARAMS, [4, 4])

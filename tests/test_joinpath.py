@@ -186,14 +186,16 @@ def test_project_values_rejects_keys(school_catalog, school_db):
         project_values(school_db, inst, "PID")
 
 
-def test_path_enumeration_matches_dfs_oracle(school_catalog):
-    from conftest import school_doc
+def test_path_enumeration_matches_dfs_oracle():
+    from conftest import school_doc, self_referencing_school_doc
     from reltree.eager import enumerate_paths
 
-    for max_len in (1, 2, 3, 4):
-        got = {p.render() for p in enumerate_paths(school_catalog, max_len)}
-        expected = {render_path("Professor", hops) for hops in dfs_paths(school_doc(), max_len)}
-        assert got == expected
+    for doc in (school_doc(), self_referencing_school_doc()):
+        catalog = catalog_from_dict(doc)
+        for max_len in (1, 2, 3, 4):
+            got = {p.render() for p in enumerate_paths(catalog, max_len)}
+            expected = {render_path("Professor", hops) for hops in dfs_paths(doc, max_len)}
+            assert got == expected
 
     for seed in range(30):
         doc, _ = random_micro_db(seed)

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import school_doc
+import oracles
+from conftest import school_doc, self_referencing_school_doc
 from oracles import random_micro_db
 
 from reltree.schema import (
@@ -27,7 +28,7 @@ def test_single_table_schema_has_no_edges():
     catalog = catalog_from_dict(doc)
     assert catalog.fk_edges == ()
     assert table_depths(catalog) == {"T": 0}
-    assert neighbors(catalog, "T") == []
+    assert neighbors(catalog, "T") == ()
 
 
 def test_dangling_fk_is_rejected():
@@ -105,7 +106,7 @@ def test_depths_ignore_declaration_order(school_catalog):
 
 def test_neighbors_course(school_catalog):
     adj = neighbors(school_catalog, "Course")
-    assert [(a.neighbor, a.column, a.neighbor_column) for a in adj] == [
+    assert [(a.to_table, a.from_column, a.to_column) for a in adj] == [
         ("Professor", "PID", "PID"),
         ("Enrolled", "CID", "CID"),
     ]
@@ -113,7 +114,7 @@ def test_neighbors_course(school_catalog):
 
 def test_neighbors_enrolled(school_catalog):
     adj = neighbors(school_catalog, "Enrolled")
-    assert [(a.neighbor, a.column) for a in adj] == [("Course", "CID"), ("Student", "SID")]
+    assert [(a.to_table, a.from_column) for a in adj] == [("Course", "CID"), ("Student", "SID")]
 
 
 def test_neighbors_unknown_table(school_catalog):
@@ -150,3 +151,24 @@ def test_fingerprint_tracks_structure(school_catalog):
     doc = school_doc()
     doc["tables"][3]["columns"].append({"age": "num"})
     assert fingerprint(catalog_from_dict(doc)) != fingerprint(school_catalog)
+
+
+def test_stored_graph_matches_the_oracle():
+    """Depths and hops are computed once, with the catalog; they must equal the oracle's on every kind of schema."""
+    docs = [school_doc(), self_referencing_school_doc()] + [random_micro_db(seed)[0] for seed in range(40)]
+    for doc in docs:
+        catalog = catalog_from_dict(doc)
+        assert table_depths(catalog) == oracles.depths(doc)
+        for table in catalog.table_names:
+            hops = neighbors(catalog, table)
+            assert all(h.from_table == table for h in hops)
+            assert [(h.from_column, h.to_table, h.to_column, h.label) for h in hops] == oracles.neighbors(doc, table)
+            for h in hops:
+                assert h.many_to_one == (h.to_column == oracles.primary_key(doc, h.to_table))
+
+
+def test_a_self_referencing_key_gives_both_directions():
+    catalog = catalog_from_dict(self_referencing_school_doc())
+    mentor = [(h.from_column, h.to_column, h.many_to_one) for h in neighbors(catalog, "Professor") if h.label == "mentor"]
+    assert mentor == [("mentor", "PID", True), ("PID", "mentor", False)]
+    assert table_depths(catalog) == table_depths(catalog_from_dict(school_doc()))
