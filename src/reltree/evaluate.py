@@ -14,6 +14,7 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +179,7 @@ def cross_validate(
             seconds = time.perf_counter() - t0
 
         preds = predict_many(model, db, test_ids)
-        accuracy = float(np.mean([p.index == y for p, y in zip(preds, test_labels)]))
+        accuracy = float(np.mean(np.fromiter(map(attrgetter("index"), preds), np.int64, len(preds)) == test_labels))
         majority = int(np.argmax(np.bincount(train_labels)))
         majority_accuracy = float(np.mean(test_labels == majority))
         results.append(FoldResult(

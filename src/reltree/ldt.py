@@ -248,22 +248,29 @@ def _check_ids(instances, n_rows: int) -> np.ndarray:
 
     Unless numpy reads the ids as integers, ValueError names the first that
     is not an int (a float, bool or string is never truncated); else it
-    names the first id outside ``[0, n_rows)``.
+    names the first id outside ``[0, n_rows)``, as it was given: the range
+    is tested before the cast to int64, so an id past int64 neither
+    overflows nor wraps.
     """
     if not isinstance(instances, np.ndarray):
         instances = list(instances)
     ids = np.asarray(instances).reshape(-1)
     if ids.size and ids.dtype.kind not in "iu":
-        # Read the request as given: numpy turns [0, "a"] into strings.
+        # Read the request as given: numpy turns [0, "a"] into strings and
+        # an int past uint64 into an object.
         values = instances if isinstance(instances, list) else ids.tolist()
         bad = [v for v in values if not _is_integer_id(v)]
         if bad:
             raise _not_integer(bad[0])
-    ids = ids.astype(np.int64, copy=False)
-    outside = (ids < 0) | (ids >= n_rows)
+        outside = [v for v in values if not 0 <= v < n_rows]
+        if outside:
+            raise _outside(int(outside[0]), n_rows)
+        return ids.astype(np.int64)
+    # Unsigned ids are never negative, and the cast would wrap those past int64.
+    outside = (ids >= n_rows) if ids.dtype.kind == "u" else (ids < 0) | (ids >= n_rows)
     if outside.any():
         raise _outside(int(ids[np.argmax(outside)]), n_rows)
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def training_rows(db: Database, instance_ids=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:

@@ -1,10 +1,12 @@
-"""Columnar in-memory database with hash indexes on every key column.
+"""Columnar in-memory database with an index on every key column.
 
 Key values are dictionary-coded to dense integers at load time; the primary
 key of a table and every foreign key referencing it share one code domain, so
 equi-join lookups are integer lookups.  Rows whose key cells are missing are
 rejected at load.  Foreign-key values that match no primary key are kept
 (they join to nothing) and counted in a dangling-reference statistic.
+Each key column's index lists the rows of every code (:class:`KeyIndex`),
+found by a radix sort of the codes in the narrowest unsigned dtype.
 """
 
 from __future__ import annotations
@@ -88,9 +90,16 @@ class KeyIndex:
 
     @classmethod
     def build(cls, codes: np.ndarray, domain_size: int) -> "KeyIndex":
+        """The index of ``codes``, each in ``[0, domain_size)``.
+
+        The rows are sorted by a stable sort of the codes cast to the
+        narrowest unsigned dtype that holds ``domain_size``: numpy radix-sorts
+        8- and 16-bit integers, so every domain below 65,536 codes is sorted
+        in linear time, in the order a stable sort of the int64 codes gives.
+        """
         counts = np.bincount(codes, minlength=domain_size) if codes.size else np.zeros(domain_size, dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        order = np.argsort(codes, kind="stable").astype(np.int64)
+        order = np.argsort(codes.astype(np.min_scalar_type(domain_size)), kind="stable").astype(np.int64)
         return cls(starts=starts, rows=order)
 
     def lookup(self, code: int) -> np.ndarray:
@@ -235,7 +244,7 @@ def build_database(
     rejected: dict[str, int] = {}
     for ts in catalog.tables:
         cols = _table_columns(ts, raw_tables.get(ts.name))
-        masks = {name: np.fromiter(map(missing_cells.__contains__, col), bool, len(col)) for name, col in cols.items()}
+        masks = {name: _missing_mask(col, missing_cells) for name, col in cols.items()}
         n = len(cols[ts.columns[0].name])
         reject = np.zeros(n, dtype=bool)
         for c in ts.columns:
@@ -347,6 +356,13 @@ def _table_columns(ts: TableSchema, data) -> dict[str, Sequence]:
     return cols
 
 
+def _missing_mask(col: Sequence, missing_cells: frozenset) -> np.ndarray:
+    """Which cells of ``col`` are missing; cell by cell only in a column that holds one."""
+    if missing_cells.isdisjoint(col):
+        return np.zeros(len(col), dtype=bool)
+    return np.fromiter(map(missing_cells.__contains__, col), bool, len(col))
+
+
 def _present(col: Sequence, miss: np.ndarray) -> Sequence:
     return list(compress(col, (~miss).tolist())) if miss.any() else col
 
@@ -410,58 +426,65 @@ def load_database(catalog: SchemaCatalog, data_dir, options: LoadOptions | None 
     and no column twice; extra columns are ignored.  Every data row has the
     header's number of fields; blank lines are skipped.  Every bad cell is
     reported by its file and physical line.
-    """
-    raw: dict[str, dict[str, list]] = {}
-    sources: dict[str, Path] = {}
-    for ts in catalog.tables:
-        path = Path(data_dir) / ts.source_file
-        try:
-            fh = open(path, "r", newline="", encoding="utf-8-sig")
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        with fh:
-            reader = csv.reader(fh)
-            try:
-                header, rows = _read_rows(reader, path)
-            except csv.Error as exc:
-                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
-        absent = [c.name for c in ts.columns if c.name not in header]
-        if absent:
-            raise DataError(f"{path}: header is missing schema columns: {', '.join(absent)}")
-        positions = {c.name: header.index(c.name) for c in ts.columns}
-        raw[ts.name] = {name: [row[i] for row in rows] for name, i in positions.items()}
-        sources[ts.name] = path
-    return build_database(catalog, raw, options, sources)
 
-
-def _read_rows(reader, path: Path) -> tuple[list[str], list[list[str]]]:
-    """The header and the data rows of one CSV, blank lines skipped.
-
-    The cyclic garbage collector is off while the rows are read: the row
-    lists are many young containers, so it would run again and again and
-    find no cycle among them.  It is back in its previous state afterwards,
-    whether the read succeeds or raises.
+    The cyclic garbage collector is off for the whole load: reading, the
+    transposition to columns and :func:`build_database`.  The row lists are
+    many young containers that hold no cycle, so a collection would walk them
+    and find nothing; with the collector off until the build is done, each
+    table's rows are freed by reference counting before any collection can
+    run.  The collector is back in its previous state afterwards, whether
+    the load succeeds or raises.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file (missing header)")
-        repeated = [name for name, count in Counter(header).items() if count > 1]
-        if repeated:
-            raise DataError(f"{path}: header repeats column {repeated[0]!r}")
-        width = len(header)
-        rows = []
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise DataError(f"{path} line {reader.line_num}: {len(row)} fields, header has {width}")
-            rows.append(row)
-        return header, rows
+        raw: dict[str, dict[str, list]] = {}
+        sources: dict[str, Path] = {}
+        for ts in catalog.tables:
+            path = Path(data_dir) / ts.source_file
+            raw[ts.name] = _read_columns(ts, path)
+            sources[ts.name] = path
+        return build_database(catalog, raw, options, sources)
     finally:
         if enabled:
             gc.enable()
+
+
+def _read_columns(ts: TableSchema, path: Path) -> dict[str, list]:
+    """The cells of ``ts``'s schema columns in the CSV at ``path``, one list per column."""
+    try:
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header, rows = _read_rows(reader, path)
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    absent = [c.name for c in ts.columns if c.name not in header]
+    if absent:
+        raise DataError(f"{path}: header is missing schema columns: {', '.join(absent)}")
+    positions = {c.name: header.index(c.name) for c in ts.columns}
+    return {name: [row[i] for row in rows] for name, i in positions.items()}
+
+
+def _read_rows(reader, path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of one CSV, blank lines skipped."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file (missing header)")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise DataError(f"{path}: header repeats column {repeated[0]!r}")
+    width = len(header)
+    rows = []
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            raise DataError(f"{path} line {reader.line_num}: {len(row)} fields, header has {width}")
+        rows.append(row)
+    return header, rows

@@ -219,6 +219,28 @@ def test_every_entry_point_refuses_non_integer_ids(school_db, ids, bad):
             predict(model, school_db, scalar)
 
 
+@pytest.mark.parametrize("ids, bad", [
+    ([0, 2**70], 2**70),
+    ([-2**70, 0], -2**70),
+    ([2**63], 2**63),
+    (np.array([1, 2**64 - 1], dtype=np.uint64), 2**64 - 1),
+])
+def test_every_entry_point_names_an_id_past_int64_as_given(school_db, ids, bad):
+    """Neither a bare OverflowError nor an id wrapped to a negative one: the id the caller asked for."""
+    model = grow_tree(school_db, LearnParams(min_inst=1))
+    message = rf"^instance id {bad} is outside the target table's rows \[0, 4\)$"
+    entry_points = [
+        lambda: grow_tree(school_db, PARAMS, ids),
+        lambda: train_flat(school_db, 2, PARAMS, ids),
+        lambda: propositionalize(school_db, 2, PARAMS, instance_ids=ids),
+        lambda: predict_many(model, school_db, ids),
+        lambda: predict(model, school_db, bad),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_integer_ids_of_any_integer_type_are_accepted(school_db):
     model = grow_tree(school_db, LearnParams(min_inst=1))
     expected = predict_many(model, school_db, [0, 1, 2, 3])

@@ -201,6 +201,35 @@ def test_key_index_matches_scan_property(codes):
         assert np.array_equal(rows_matching(db, "B", "a", code), np.nonzero(col == code)[0])
 
 
+@pytest.mark.parametrize("domain_size", [1, 255, 256, 65_535, 65_536, 65_537])
+def test_key_index_equals_a_stable_argsort_of_the_codes(domain_size):
+    """The narrow-dtype radix sort gives the int64 stable sort's order, dangling codes past n_primary included."""
+    n_primary = domain_size - 1 if domain_size > 1 else 0
+    rng = np.random.default_rng(domain_size)
+    picks = np.concatenate((rng.integers(0, domain_size, 2 * domain_size), [domain_size - 1]))
+    doc = {
+        "target": "A.y",
+        "tables": [
+            {"name": "A", "columns": [{"id": "pk"}, {"y": "cat"}]},
+            {"name": "B", "columns": [{"id": "pk"}, {"a": "fk(A.id)"}]},
+        ],
+    }
+    tables = {
+        "A": {"id": [f"k{i}" for i in range(n_primary)], "y": ["x"] * n_primary},
+        "B": {"id": [f"b{i}" for i in range(len(picks))], "a": [f"k{c}" for c in picks.tolist()]},
+    }
+    db = build_database(catalog_from_dict(doc), tables)
+    domain = db.key_domains[("A", "id")]
+    assert (len(domain), domain.n_primary) == (domain_size, n_primary)
+    for key in (("A", "id"), ("B", "a")):
+        codes = db.tables[key[0]].columns[key[1]].codes
+        index = db.indexes[key]
+        assert np.array_equal(index.starts, np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=domain_size)))))
+        assert index.rows.dtype == np.int64
+        assert np.array_equal(index.rows, np.argsort(codes, kind="stable"))
+    assert db.dangling[("B", "a")] == np.count_nonzero(db.tables["B"].columns["a"].codes >= n_primary) > 0
+
+
 def assert_same_database(got, want):
     assert list(got.tables) == list(want.tables)
     for name, table in want.tables.items():
@@ -408,7 +437,7 @@ def test_non_utf8_file_is_a_data_error(school_dir):
 @pytest.mark.parametrize("collector_on", [True, False])
 @pytest.mark.parametrize("ragged", [False, True])
 def test_loading_leaves_the_garbage_collector_as_it_found_it(school_dir, collector_on, ragged):
-    """The collector is off only while CSV rows are read, after a good load and after a DataError alike."""
+    """The collector, off through the whole load, is back as it was after a good load and after a DataError alike."""
     if ragged:
         (school_dir / "student.csv").write_text("SID,grade\ns1,8\ns2,9,extra\n", encoding="utf-8")
     catalog = load_schema(school_dir / "schema.yaml")
@@ -443,3 +472,28 @@ def test_csv_rows_are_read_with_the_garbage_collector_off(school_dir, monkeypatc
         assert gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_loading_runs_no_garbage_collection(school_dir):
+    """Thousands of CSV rows, far above the youngest generation's threshold, and not one collection."""
+    with open(school_dir / "student.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["SID", "grade"])
+        writer.writerows([f"s{i}", str(i % 20)] for i in range(1, 5001))
+    catalog = load_schema(school_dir / "schema.yaml")
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        db = load_database(catalog, school_dir)
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert db.tables["Student"].n_rows == 5000 > gc.get_threshold()[0]
+    assert collections == []
