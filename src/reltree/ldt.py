@@ -246,31 +246,56 @@ def _not_integer(instance) -> ValueError:
 def _check_ids(instances, n_rows: int) -> np.ndarray:
     """``instances`` as a 1-D int64 array, in their order.
 
-    Unless numpy reads the ids as integers, ValueError names the first that
-    is not an int (a float, bool or string is never truncated); else it
-    names the first id outside ``[0, n_rows)``, as it was given: the range
-    is tested before the cast to int64, so an id past int64 neither
-    overflows nor wraps.
+    ValueError names the first id that is not an int or numpy integer (a
+    float, bool or string is never truncated, and a bool among ints is not
+    read as 0 or 1); else it names the first id outside ``[0, n_rows)``, as
+    it was given: the range is tested before the cast to int64, so an id
+    past int64 neither overflows nor wraps.  A request that numpy reads as
+    integers is checked by array operations (a list after one pass over its
+    element types, which is how a bool among ints is seen); any other
+    request is checked id by id, as given.
     """
-    if not isinstance(instances, np.ndarray):
-        instances = list(instances)
-    ids = np.asarray(instances).reshape(-1)
-    if ids.size and ids.dtype.kind not in "iu":
-        # Read the request as given: numpy turns [0, "a"] into strings and
-        # an int past uint64 into an object.
-        values = instances if isinstance(instances, list) else ids.tolist()
-        bad = [v for v in values if not _is_integer_id(v)]
-        if bad:
-            raise _not_integer(bad[0])
-        outside = [v for v in values if not 0 <= v < n_rows]
-        if outside:
-            raise _outside(int(outside[0]), n_rows)
-        return ids.astype(np.int64)
+    if isinstance(instances, np.ndarray):
+        ids = instances.reshape(-1)
+        if ids.size and ids.dtype.kind not in "iu":
+            return _checked_one_by_one(ids.tolist(), n_rows)
+        return _in_range(ids, n_rows)
+    values = instances if type(instances) is list else list(instances)
+    types = set(map(type, values))
+    if types <= {int}:  # the usual request
+        try:
+            ids = np.fromiter(values, np.int64, len(values))
+        except OverflowError:  # an int past int64
+            return _checked_one_by_one(values, n_rows)
+        return _in_range(ids, n_rows)
+    if bool not in types and np.bool_ not in types:
+        # Mostly numpy integers, alone or among ints.  What numpy does not
+        # read as integers ([0, "a"] as strings, an int past uint64 as an
+        # object) is checked id by id below.
+        ids = np.asarray(values).reshape(-1)
+        if ids.dtype.kind in "iu":
+            return _in_range(ids, n_rows)
+    return _checked_one_by_one(values, n_rows)
+
+
+def _in_range(ids: np.ndarray, n_rows: int) -> np.ndarray:
+    """Integer ``ids`` as int64, or ValueError naming the first outside ``[0, n_rows)``."""
     # Unsigned ids are never negative, and the cast would wrap those past int64.
     outside = (ids >= n_rows) if ids.dtype.kind == "u" else (ids < 0) | (ids >= n_rows)
     if outside.any():
         raise _outside(int(ids[np.argmax(outside)]), n_rows)
     return ids.astype(np.int64, copy=False)
+
+
+def _checked_one_by_one(values: list, n_rows: int) -> np.ndarray:
+    """:func:`_check_ids` of a request that numpy does not read as integers, or that holds a bool."""
+    bad = [v for v in values if not _is_integer_id(v)]
+    if bad:
+        raise _not_integer(bad[0])
+    outside = [v for v in values if not 0 <= v < n_rows]
+    if outside:
+        raise _outside(int(outside[0]), n_rows)
+    return np.array(values, dtype=np.int64)
 
 
 def training_rows(db: Database, instance_ids=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:

@@ -102,6 +102,17 @@ class KeyIndex:
         order = np.argsort(codes.astype(np.min_scalar_type(domain_size)), kind="stable").astype(np.int64)
         return cls(starts=starts, rows=order)
 
+    @classmethod
+    def primary(cls, n_rows: int, domain_size: int) -> "KeyIndex":
+        """The index of a primary key: :meth:`build`'s, without its sort.
+
+        A primary key codes its rows ``0..n_rows-1`` in row order, so row
+        ``i`` alone holds code ``i``; the codes from ``n_rows`` up belong to
+        dangling foreign-key values and hold no row.
+        """
+        starts = np.minimum(np.arange(domain_size + 1, dtype=np.int64), n_rows)
+        return cls(starts=starts, rows=np.arange(n_rows, dtype=np.int64))
+
     def lookup(self, code: int) -> np.ndarray:
         if code < 0 or code >= len(self.starts) - 1:
             return self.rows[:0]
@@ -329,7 +340,10 @@ def build_database(
                 continue
             col = tables[ts.name].columns[c.name]
             assert isinstance(col, KeyColumn)
-            indexes[(ts.name, c.name)] = KeyIndex.build(col.codes, len(col.domain))
+            if c.kind == KIND_PRIMARY_KEY:
+                indexes[(ts.name, c.name)] = KeyIndex.primary(len(col.codes), len(col.domain))
+            else:
+                indexes[(ts.name, c.name)] = KeyIndex.build(col.codes, len(col.domain))
 
     return Database(
         catalog=catalog,

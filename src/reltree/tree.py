@@ -415,8 +415,8 @@ class TreeModel:
     class_labels: tuple[str, ...]
     schema_fingerprint: str
     descriptors: tuple[FeatureDescriptor, ...]
-    # The database ``check_compatible`` last found the model to fit.
-    _fits: weakref.ref | None = field(default=None, init=False, repr=False)
+    # The database ``check_compatible`` last found the model to fit, and ``predict``'s request on it.
+    _binding: "_Binding | None" = field(default=None, init=False, repr=False)
 
     def iter_nodes(self):
         return _preorder(self.root)
@@ -645,19 +645,20 @@ class _Request:
     """Per-request caches: each path joined once, each tested feature computed once.
 
     A plain object rather than closures, so that a finished request holds no
-    reference cycle and is freed at once, not by the cyclic collector.
+    reference cycle and is freed at once, not by the cyclic collector.  It
+    holds no reference to the database either: the caller passes it in, so
+    a request a model keeps does not keep the database alive.
     """
 
-    def __init__(self, model: TreeModel, db: Database, ids: np.ndarray) -> None:
+    def __init__(self, model: TreeModel, ids: np.ndarray) -> None:
         self.router = model._router
         self.descriptors = model.descriptors
-        self.db = db
         self.ids = ids
         self.instantiations: list[JoinInstantiation | None] = [None] * len(self.router.paths)
         self.aggregates: dict[int, dict] = {}
         self.columns: list[list | None] = [None] * len(self.descriptors)
 
-    def instantiation(self, p: int) -> JoinInstantiation:
+    def instantiation(self, db: Database, p: int) -> JoinInstantiation:
         inst = self.instantiations[p]
         if inst is None:
             router = self.router
@@ -666,36 +667,35 @@ class _Request:
                 ids = self.ids
                 inst = JoinInstantiation(router.paths[p], ids, np.arange(len(ids) + 1, dtype=np.int64), ids)
             else:  # the prefix cache: extend the parent path by its last hop
-                inst = join_hop(self.db, self.instantiation(parent), router.paths[p])
+                inst = join_hop(db, self.instantiation(db, parent), router.paths[p])
             self.instantiations[p] = inst
         return inst
 
-    def cells(self, slot: int) -> list:
+    def cells(self, db: Database, slot: int) -> list:
         p = self.router.slot_paths[slot]
-        col = feature_cells(self.db, self.instantiation(p), self.descriptors[slot], self.aggregates.setdefault(p, {}))
+        col = feature_cells(db, self.instantiation(db, p), self.descriptors[slot], self.aggregates.setdefault(p, {}))
         cells = self.columns[slot] = _cells(col)
         return cells
 
 
-def _route(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
-    """Predictions for valid target-table row ids, in their order.
+def _route(request: _Request, db: Database, rows) -> list[Prediction]:
+    """Predictions for rows of ``request``, given by position in its ids, in their order.
 
     Routing is positional: row ``r`` reads cell ``r`` of each column, so the
     ids need not be ascending or distinct.  Of the join code only
     :meth:`JoinInstantiation.restrict` needs ascending ids, and prediction
     never restricts.
     """
-    request = _Request(model, db, ids)
     columns = request.columns
     inner, leaves, root = request.router.inner, request.router.leaves, request.router.root
     out = []
-    for r in range(len(ids)):
+    for r in rows:
         i = root
         while i >= 0:
             slot, is_le, operand, undefined_left, left, right = inner[i]
             cells = columns[slot]
             if cells is None:
-                cells = request.cells(slot)
+                cells = request.cells(db, slot)
             v = cells[r]
             if v is None:
                 go_left = undefined_left
@@ -704,6 +704,20 @@ def _route(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
             i = left if go_left else right
         out.append(leaves[~i])
     return out
+
+
+class _Binding:
+    """The database a model was last found to fit, by weak reference, and ``predict``'s request on it.
+
+    The request covers every target-table row; it is made by the first
+    :func:`predict` on that database and dropped when the model meets another.
+    """
+
+    __slots__ = ("db", "request")
+
+    def __init__(self, db: Database) -> None:
+        self.db = weakref.ref(db)
+        self.request: _Request | None = None
 
 
 def _misfit(where: str, problem: str) -> ModelMismatchError:
@@ -778,22 +792,29 @@ def check_compatible(model: TreeModel, db: Database) -> None:
 
     The schema fingerprint is compared on every call; the descriptors and
     tests are checked against ``db`` once, until the model meets another
-    database.
+    database, which also drops the request :func:`predict` kept for the
+    last one.
     """
     if fingerprint(db.catalog) != model.schema_fingerprint:
         raise ModelMismatchError("database schema does not match the model's schema fingerprint")
-    if model._fits is None or model._fits() is not db:
+    if model._binding is None or model._binding.db() is not db:
         _check_fits(model, db)
-        model._fits = weakref.ref(db)
+        model._binding = _Binding(db)
 
 
 def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     """Route one target-table row through the tree; equals ``predict_many(model, db, [instance])[0]``.
 
-    The one id is checked in Python rather than through ``predict_many``'s
-    request arrays, whose numpy calls cost more than routing a row through a
-    shallow tree.  Raises ``ValueError`` when the id is not an ``int`` or
-    ``np.integer`` (a bool is refused) or is not a row of the target table.
+    A model keeps one request per database it predicts on, over every
+    target-table row: the first call makes it, and each call routes its one
+    row over that request's cells, computing a tested feature for the whole
+    table the first time a routed row reaches a node that tests it.  So the
+    first calls cost about one :func:`predict_many` over the table, and later
+    ones only their id check and routing.  The request holds the joins,
+    aggregates and cells computed so far, until the model is freed or meets
+    another database; it holds no reference to the database.  Raises
+    ``ValueError`` when the id is not an ``int`` or ``np.integer`` (a bool is
+    refused) or is not a row of the target table.
     """
     check_compatible(model, db)
     if not _is_integer_id(instance):
@@ -802,7 +823,11 @@ def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     n_rows = db.tables[db.catalog.target_table].n_rows
     if not 0 <= i < n_rows:
         raise _outside(i, n_rows)
-    return _route(model, db, np.array([i], dtype=np.int64))[0]
+    binding = model._binding
+    request = binding.request
+    if request is None:
+        request = binding.request = _Request(model, np.arange(n_rows, dtype=np.int64))
+    return _route(request, db, (i,))[0]
 
 
 def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
@@ -812,12 +837,13 @@ def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
     the tree reaches once, and each tested feature is computed once, for all
     of them, when the first row reaches a node that tests it, by the same code
     that built the training columns.  Rows are then routed through the tree
-    over those cells.  Raises ``ValueError`` naming an id that is not an
-    integer row of the target table.  Prediction adds nothing to ``db.stats``.
+    over those cells.  Each call makes its own request and frees it on
+    return.  Raises ``ValueError`` naming an id that is not an integer row
+    of the target table.  Prediction adds nothing to ``db.stats``.
     """
     check_compatible(model, db)
     ids = _check_ids(instances, db.tables[db.catalog.target_table].n_rows)
-    return _route(model, db, ids) if ids.size else []
+    return _route(_Request(model, ids), db, range(len(ids))) if ids.size else []
 
 
 # ---------------------------------------------------------------------------

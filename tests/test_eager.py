@@ -197,6 +197,8 @@ def test_both_learners_train_on_each_labeled_requested_row_once(school_db, learn
     (["3"], "3"),
     ([0, "a"], "a"),
     ([True], True),
+    ([1, True], True),  # not read as row 1
+    ([np.int64(2), np.True_, 0], True),
     (np.array([False, True]), False),
     ([1, None], None),
 ])

@@ -4,6 +4,7 @@ check against the row-at-a-time router in ``oracles.naive_predict``."""
 import gc
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_predict_many_matches_naive_router(seed, strategy, data):
     request = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n), label="request")
     assert _pairs(predict_many(model, db, request)) == naive_predict(model, db, request)
     assert _pairs(predict_many(model, db, range(n))) == naive_predict(model, db, range(n))
-    for i in request[:4]:
+    for i in request:
         assert predict(model, db, i) == predict_many(model, db, [i])[0]
 
 
@@ -54,17 +55,24 @@ def test_duplicates_and_order_follow_the_request():
     assert predict_many(model, data.db, np.array(request[::-1])) == [every[i] for i in request[::-1]]
 
 
+def _reordered_movies(data):
+    """The database of ``data`` with its movie rows reversed.
+
+    That gives the genres another first-seen order, so a trained value code
+    means another genre there.
+    """
+    tables = dict(data.tables)
+    tables["Movie"] = list(reversed(data.tables["Movie"]))
+    return build_database(data.catalog, tables)
+
+
 def test_categorical_tests_route_by_value_not_code():
     data = generate_school_db(19, SchoolSpec(n_professors=150, rule="movie_genre"))
     model = grow_tree(data.db, LearnParams())
     root = model.root.test
     assert root.kind == "categorical_eq"
 
-    # Reordered movie rows give the predicting database another first-seen
-    # order of genres, so the trained value code means another genre there.
-    tables = dict(data.tables)
-    tables["Movie"] = list(reversed(data.tables["Movie"]))
-    other = build_database(data.catalog, tables)
+    other = _reordered_movies(data)
     genre = other.tables["Movie"].columns["genre"]
     assert genre.dictionary != data.db.tables["Movie"].columns["genre"].dictionary
     assert genre.dictionary.index(root.value) != root.value_code
@@ -158,6 +166,42 @@ def test_each_tested_feature_is_computed_once_per_request(monkeypatch):
     predict_many(model, data.db, range(150))
     assert len(calls) == len(set(calls))
     assert set(calls) <= set(model.descriptors)
+
+    # Single-row calls share one request per model and database.
+    calls.clear()
+    for i in range(50):
+        predict(model, data.db, (7 * i) % 150)
+    assert calls and len(calls) == len(set(calls))
+    assert set(calls) <= set(model.descriptors)
+
+
+def test_single_row_predictions_follow_the_database_they_are_asked_of():
+    data = generate_school_db(19, SchoolSpec(n_professors=150, rule="movie_genre"))
+    model = grow_tree(data.db, LearnParams())
+    reordered = _reordered_movies(data)
+    # Each professor's movie moves to the next one, so many predictions change.
+    tables = dict(data.tables)
+    mids = [row["MID"] for row in data.tables["Professor"]]
+    tables["Professor"] = [{**row, "MID": mid} for row, mid in zip(data.tables["Professor"], mids[1:] + mids[:1])]
+    moved = build_database(data.catalog, tables)
+    rows = range(150)
+    assert naive_predict(model, moved, rows) != naive_predict(model, data.db, rows)
+    for db in (data.db, reordered, data.db, moved, data.db):
+        assert _pairs(predict(model, db, i) for i in rows) == naive_predict(model, db, rows)
+
+
+def test_the_kept_request_does_not_keep_the_database_alive():
+    data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
+    model = grow_tree(data.db, LearnParams())
+    db = data.db
+    del data
+    for i in range(150):
+        predict(model, db, i)
+    gone = weakref.ref(db)
+    del db
+    gc.collect()
+    assert gone() is None
+    assert model._binding.request is not None  # kept, yet the database is gone
 
 
 def test_a_model_compiles_its_router_once(monkeypatch):

@@ -15,6 +15,7 @@ from reltree.storage import (
     CategoricalColumn,
     DataError,
     KeyColumn,
+    KeyIndex,
     LoadOptions,
     NumericColumn,
     build_database,
@@ -228,6 +229,29 @@ def test_key_index_equals_a_stable_argsort_of_the_codes(domain_size):
         assert index.rows.dtype == np.int64
         assert np.array_equal(index.rows, np.argsort(codes, kind="stable"))
     assert db.dangling[("B", "a")] == np.count_nonzero(db.tables["B"].columns["a"].codes >= n_primary) > 0
+
+
+def test_primary_key_index_equals_the_sorted_one_with_dangling_foreign_keys(school_db):
+    """A primary key's index is built without a sort; the dangling codes past its rows hold no row."""
+    doc = {
+        "target": "A.y",
+        "tables": [
+            {"name": "A", "columns": [{"id": "pk"}, {"y": "cat"}]},
+            {"name": "B", "columns": [{"id": "pk"}, {"a": "fk(A.id)"}, {"b": "fk(B.id)"}]},
+        ],
+    }
+    tables = {
+        "A": {"id": ["k0", "k1", "k2"], "y": ["x", "x", "z"]},
+        "B": {"id": ["b0", "b1", "b2", "b3"], "a": ["k9", "k1", "k7", "k9"], "b": ["b1", "gone", "b0", "b3"]},
+    }
+    for db in (school_db, build_database(catalog_from_dict(doc), tables)):
+        primary = [db.tables[ts.name].columns[ts.primary_key.name] for ts in db.catalog.tables]
+        assert any(len(col.domain) > col.domain.n_primary for col in primary)  # codes past the rows
+        for ts, col in zip(db.catalog.tables, primary):
+            want = KeyIndex.build(col.codes, len(col.domain))
+            got = db.indexes[(ts.name, ts.primary_key.name)]
+            assert got.starts.dtype == got.rows.dtype == np.int64
+            assert np.array_equal(got.starts, want.starts) and np.array_equal(got.rows, want.rows)
 
 
 def assert_same_database(got, want):
