@@ -197,10 +197,10 @@ def test_both_learners_train_on_each_labeled_requested_row_once(school_db, learn
     (["3"], "3"),
     ([0, "a"], "a"),
     ([True], True),
-    ([1, True], True),  # not read as row 1
-    ([np.int64(2), np.True_, 0], True),
     (np.array([False, True]), False),
     ([1, None], None),
+    ([1, True], True),  # not read as row 1
+    ([np.int64(2), np.True_, 0], True),
 ])
 def test_every_entry_point_refuses_non_integer_ids(school_db, ids, bad):
     """A float, bool, string or object id is refused, naming the first such id, not truncated to a row."""
