@@ -415,8 +415,10 @@ class TreeModel:
     class_labels: tuple[str, ...]
     schema_fingerprint: str
     descriptors: tuple[FeatureDescriptor, ...]
-    # The database ``check_compatible`` last found the model to fit, and ``predict``'s request on it.
-    _binding: "_Binding | None" = field(default=None, init=False, repr=False)
+    # The database ``check_compatible`` last found the model to fit.
+    _fits: weakref.ref | None = field(default=None, init=False, repr=False)
+    # ``predict``'s request on each database it predicted on, dropped with that database.
+    _requests: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def iter_nodes(self):
         return _preorder(self.root)
@@ -570,8 +572,9 @@ class _Router:
     the tested value).  A child index ``~k`` (negative) is the leaf whose
     prediction is ``leaves[k]``.  ``paths`` holds every descriptor's path
     and its prefixes, each after its prefix: ``parents[p]`` is the index of
-    path ``p`` minus its last hop (-1 for the target table itself), and
-    ``slot_paths[slot]`` the index of the slot's path.
+    path ``p`` minus its last hop (-1 for the target table itself),
+    ``slot_paths[slot]`` the index of the slot's path, and ``readers[p]``
+    the number of slots whose path is ``p`` or extends it.
     """
 
     root: int
@@ -580,6 +583,34 @@ class _Router:
     slot_paths: tuple[int, ...]
     paths: tuple[JoinPath, ...]
     parents: tuple[int, ...]
+    readers: tuple[int, ...]
+
+
+def _flatten(model: TreeModel, node: TreeNode, slots: dict, inner: list, leaves: list) -> int:
+    """Append ``node``'s subtree to ``inner`` and ``leaves`` in preorder; its index there.
+
+    A module function rather than a closure in :func:`_compile`: a closure
+    that calls itself is a reference cycle, which would hold the model until
+    the cyclic collector runs.
+    """
+    if isinstance(node, LeafNode):
+        leaves.append(_leaf_prediction(model, node))
+        return ~(len(leaves) - 1)
+    t = node.test
+    if t.kind == "numeric_le":
+        operand = t.threshold
+    elif t.kind == "boolean_true":
+        operand = True
+    elif t.kind == "categorical_eq":
+        operand = t.value
+    else:
+        raise ValueError(f"unknown test kind {t.kind!r}")
+    i = len(inner)
+    inner.append(None)
+    left = _flatten(model, node.left, slots, inner, leaves)
+    right = _flatten(model, node.right, slots, inner, leaves)
+    inner[i] = (slots[t.descriptor], t.kind == "numeric_le", operand, t.undefined_route == "pass", left, right)
+    return i
 
 
 def _compile(model: TreeModel) -> _Router:
@@ -589,41 +620,27 @@ def _compile(model: TreeModel) -> _Router:
     parents: list[int] = []
     inner: list = []
     leaves: list[Prediction] = []
-
-    def visit(node: TreeNode) -> int:
-        if isinstance(node, LeafNode):
-            leaves.append(_leaf_prediction(model, node))
-            return ~(len(leaves) - 1)
-        t = node.test
-        if t.kind == "numeric_le":
-            operand = t.threshold
-        elif t.kind == "boolean_true":
-            operand = True
-        elif t.kind == "categorical_eq":
-            operand = t.value
-        else:
-            raise ValueError(f"unknown test kind {t.kind!r}")
-        i = len(inner)
-        inner.append(None)
-        left = visit(node.left)
-        right = visit(node.right)
-        inner[i] = (slots[t.descriptor], t.kind == "numeric_le", operand, t.undefined_route == "pass", left, right)
-        return i
-
-    root = visit(model.root)
+    root = _flatten(model, model.root, slots, inner, leaves)
     for d in model.descriptors:
         for k in range(len(d.path.hops) + 1):
             prefix = d.path.prefix(k)
             if prefix not in path_index:
                 path_index[prefix] = len(parents)
                 parents.append(path_index[d.path.prefix(k - 1)] if k else -1)
+    slot_paths = tuple(path_index[d.path] for d in model.descriptors)
+    readers = [0] * len(parents)
+    for p in slot_paths:
+        while p >= 0:
+            readers[p] += 1
+            p = parents[p]
     return _Router(
         root=root,
         inner=tuple(inner),
         leaves=tuple(leaves),
-        slot_paths=tuple(path_index[d.path] for d in model.descriptors),
+        slot_paths=slot_paths,
         paths=tuple(path_index),
         parents=tuple(parents),
+        readers=tuple(readers),
     )
 
 
@@ -647,7 +664,9 @@ class _Request:
     A plain object rather than closures, so that a finished request holds no
     reference cycle and is freed at once, not by the cyclic collector.  It
     holds no reference to the database either: the caller passes it in, so
-    a request a model keeps does not keep the database alive.
+    a request a model keeps does not keep the database alive.  A path's join
+    and aggregates are dropped once every column that reads them is made,
+    so a request keeps its cells and little else.
     """
 
     def __init__(self, model: TreeModel, ids: np.ndarray) -> None:
@@ -657,6 +676,8 @@ class _Request:
         self.instantiations: list[JoinInstantiation | None] = [None] * len(self.router.paths)
         self.aggregates: dict[int, dict] = {}
         self.columns: list[list | None] = [None] * len(self.descriptors)
+        # Per path, the columns still to be made from its join.
+        self.unread = list(self.router.readers)
 
     def instantiation(self, db: Database, p: int) -> JoinInstantiation:
         inst = self.instantiations[p]
@@ -675,6 +696,13 @@ class _Request:
         p = self.router.slot_paths[slot]
         col = feature_cells(db, self.instantiation(db, p), self.descriptors[slot], self.aggregates.setdefault(p, {}))
         cells = self.columns[slot] = _cells(col)
+        parents, unread = self.router.parents, self.unread
+        while p >= 0:
+            unread[p] -= 1
+            if not unread[p]:
+                self.instantiations[p] = None
+                self.aggregates.pop(p, None)
+            p = parents[p]
         return cells
 
 
@@ -704,20 +732,6 @@ def _route(request: _Request, db: Database, rows) -> list[Prediction]:
             i = left if go_left else right
         out.append(leaves[~i])
     return out
-
-
-class _Binding:
-    """The database a model was last found to fit, by weak reference, and ``predict``'s request on it.
-
-    The request covers every target-table row; it is made by the first
-    :func:`predict` on that database and dropped when the model meets another.
-    """
-
-    __slots__ = ("db", "request")
-
-    def __init__(self, db: Database) -> None:
-        self.db = weakref.ref(db)
-        self.request: _Request | None = None
 
 
 def _misfit(where: str, problem: str) -> ModelMismatchError:
@@ -792,29 +806,30 @@ def check_compatible(model: TreeModel, db: Database) -> None:
 
     The schema fingerprint is compared on every call; the descriptors and
     tests are checked against ``db`` once, until the model meets another
-    database, which also drops the request :func:`predict` kept for the
-    last one.
+    database.
     """
     if fingerprint(db.catalog) != model.schema_fingerprint:
         raise ModelMismatchError("database schema does not match the model's schema fingerprint")
-    if model._binding is None or model._binding.db() is not db:
+    if model._fits is None or model._fits() is not db:
         _check_fits(model, db)
-        model._binding = _Binding(db)
+        model._fits = weakref.ref(db)
 
 
 def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     """Route one target-table row through the tree; equals ``predict_many(model, db, [instance])[0]``.
 
     A model keeps one request per database it predicts on, over every
-    target-table row: the first call makes it, and each call routes its one
-    row over that request's cells, computing a tested feature for the whole
-    table the first time a routed row reaches a node that tests it.  So the
-    first calls cost about one :func:`predict_many` over the table, and later
-    ones only their id check and routing.  The request holds the joins,
-    aggregates and cells computed so far, until the model is freed or meets
-    another database; it holds no reference to the database.  Raises
-    ``ValueError`` when the id is not an ``int`` or ``np.integer`` (a bool is
-    refused) or is not a row of the target table.
+    target-table row of that database: the first call on a (model, database)
+    pair makes it, and each call routes its one row over that request's
+    cells, computing a tested feature for the whole table the first time a
+    routed row reaches a node that tests it.  This pays off only for many
+    calls on one pair: the first calls there cost about one
+    :func:`predict_many` over the whole table, and later ones only their id
+    check and routing.  The request keeps the cells computed so far (a
+    path's join and aggregates go once every column that reads them is
+    made) until the model or the database is freed; it holds no reference
+    to the database.  Raises ``ValueError`` when the id is not an ``int`` or
+    ``np.integer`` (a bool is refused) or is not a row of the target table.
     """
     check_compatible(model, db)
     if not _is_integer_id(instance):
@@ -823,10 +838,9 @@ def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     n_rows = db.tables[db.catalog.target_table].n_rows
     if not 0 <= i < n_rows:
         raise _outside(i, n_rows)
-    binding = model._binding
-    request = binding.request
+    request = model._requests.get(db)
     if request is None:
-        request = binding.request = _Request(model, np.arange(n_rows, dtype=np.int64))
+        request = model._requests[db] = _Request(model, np.arange(n_rows, dtype=np.int64))
     return _route(request, db, (i,))[0]
 
 

@@ -175,7 +175,7 @@ def test_each_tested_feature_is_computed_once_per_request(monkeypatch):
     assert set(calls) <= set(model.descriptors)
 
 
-def test_single_row_predictions_follow_the_database_they_are_asked_of():
+def test_single_row_predictions_follow_the_database_they_are_asked_of(monkeypatch):
     data = generate_school_db(19, SchoolSpec(n_professors=150, rule="movie_genre"))
     model = grow_tree(data.db, LearnParams())
     reordered = _reordered_movies(data)
@@ -186,22 +186,57 @@ def test_single_row_predictions_follow_the_database_they_are_asked_of():
     moved = build_database(data.catalog, tables)
     rows = range(150)
     assert naive_predict(model, moved, rows) != naive_predict(model, data.db, rows)
-    for db in (data.db, reordered, data.db, moved, data.db):
+    calls = []
+    real = tree_module.feature_cells
+
+    def counting(db, inst, descriptor, aggregates):
+        calls.append((id(db), descriptor))
+        return real(db, inst, descriptor, aggregates)
+
+    monkeypatch.setattr(tree_module, "feature_cells", counting)
+    for db in (data.db, reordered, data.db, moved, data.db, reordered):
         assert _pairs(predict(model, db, i) for i in rows) == naive_predict(model, db, rows)
+    # Each database keeps its own request, so coming back to one computes nothing again.
+    assert len(calls) == len(set(calls))
 
 
-def test_the_kept_request_does_not_keep_the_database_alive():
+def _predict_every_row(model, db):
+    for i in range(db.tables[db.catalog.target_table].n_rows):
+        predict(model, db, i)
+
+
+def test_the_kept_request_goes_with_its_database():
     data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
     model = grow_tree(data.db, LearnParams())
     db = data.db
     del data
-    for i in range(150):
-        predict(model, db, i)
+    _predict_every_row(model, db)
+    kept = weakref.ref(model._requests[db])
     gone = weakref.ref(db)
     del db
     gc.collect()
     assert gone() is None
-    assert model._binding.request is not None  # kept, yet the database is gone
+    assert kept() is None and len(model._requests) == 0
+
+
+def test_the_kept_request_goes_with_its_model():
+    data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
+    model = grow_tree(data.db, LearnParams())
+    _predict_every_row(model, data.db)
+    kept = weakref.ref(model._requests[data.db])
+    del model
+    assert kept() is None  # freed by reference counting, without a collection
+
+
+def test_a_kept_request_drops_each_join_once_its_columns_are_made():
+    data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
+    model = grow_tree(data.db, LearnParams())
+    _predict_every_row(model, data.db)
+    request = model._requests[data.db]
+    # The training rows reach every node, so every tested column is made.
+    assert None not in request.columns
+    assert request.instantiations == [None] * len(model._router.paths)
+    assert request.aggregates == {}
 
 
 def test_a_model_compiles_its_router_once(monkeypatch):
