@@ -385,6 +385,30 @@ def extend_ldt(db: Database, ldt: LocalDataTable, params: LearnParams, used_path
     )
 
 
+def left_mask(test: "SplitTest", values: np.ndarray, defined: np.ndarray,
+              dictionary: "tuple[str, ...] | None") -> np.ndarray:
+    """Which cells ``test`` sends to its left (pass) child; undefined cells follow the stored route.
+
+    ``values`` and ``defined`` are cells of the tested feature, ``dictionary``
+    the categorical dictionary their codes index.  A categorical test looks
+    its value up there: a value the dictionary lacks compares against code
+    -2, which no cell holds, so every defined cell fails.  Training's
+    :func:`split_rows` and prediction's router both split through here, so
+    a row takes the same side of a test in both.
+    """
+    if test.kind == "numeric_le":
+        passes = values <= test.threshold
+    elif test.kind == "boolean_true":
+        passes = values
+    elif test.kind == "categorical_eq":
+        dictionary = dictionary or ()
+        passes = values == (dictionary.index(test.value) if test.value in dictionary else -2)
+    else:
+        raise ValueError(f"unknown test kind {test.kind!r}")
+    passes = passes & defined
+    return passes | ~defined if test.undefined_route == "pass" else passes
+
+
 def split_rows(ldt: LocalDataTable, tests: "Sequence[SplitTest | None]") -> list[np.ndarray]:
     """The row positions of the two children of each segment that has a test; undefined rows follow the stored route.
 
@@ -406,18 +430,8 @@ def split_rows(ldt: LocalDataTable, tests: "Sequence[SplitTest | None]") -> list
             raise KeyError(f"no column for descriptor {test.descriptor.name}")
         lo, hi = bounds[s], bounds[s + 1]
         values, defined = ldt.blocks[layout.kinds[i]]
-        values, defined = values[layout.slots[i], lo:hi], defined[layout.slots[i], lo:hi]
-        if test.kind == "numeric_le":
-            passes = values <= test.threshold
-        elif test.kind == "boolean_true":
-            passes = values
-        elif test.kind == "categorical_eq":
-            dictionary = layout.dictionaries[i] or ()
-            passes = values == (dictionary.index(test.value) if test.value in dictionary else -2)
-        else:
-            raise ValueError(f"unknown test kind {test.kind!r}")
-        passes = passes & defined
-        left = passes | ~defined if test.undefined_route == "pass" else passes
+        left = left_mask(test, values[layout.slots[i], lo:hi], defined[layout.slots[i], lo:hi],
+                         layout.dictionaries[i])
         left_rows = np.flatnonzero(left)
         if left_rows.size in (0, hi - lo):
             raise InvalidSplitError(f"test {test.descriptor.name} sends all rows to one side")

@@ -29,6 +29,16 @@ threshold extend the node's table with features from deeper join paths,
 once, on its own, before giving up and making a leaf.  Each node gets the
 test it would get grown depth first, so the order of growth does not change
 the model.
+
+Prediction is columnar too.  A request joins each path the tree reaches once
+for all its ids and computes a tested feature, for all of them, the first
+time rows reach a node that tests it.  Rows then go down the tree a node at
+a time: each inner node splits the positions of the rows that reached it
+with one numpy mask, made by :func:`.ldt.left_mask`, the test evaluation
+that training's :func:`.ldt.split_rows` uses, so a row takes the same side
+of a test in training and in prediction.  Single-row :func:`predict` routes
+the whole target table once per (model, database) pair and keeps one
+prediction per row.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ from .ldt import (
     _outside,
     build_root_ldt,
     extend_ldt,
+    left_mask,
     partition_ldt,
     split_rows,
     target_labels,
@@ -415,9 +426,9 @@ class TreeModel:
     class_labels: tuple[str, ...]
     schema_fingerprint: str
     descriptors: tuple[FeatureDescriptor, ...]
-    # The database ``check_compatible`` last found the model to fit.
-    _fits: weakref.ref | None = field(default=None, init=False, repr=False)
-    # ``predict``'s request on each database it predicted on, dropped with that database.
+    # Every database ``check_compatible`` found the model to fit.
+    _fits: weakref.WeakSet = field(default_factory=weakref.WeakSet, init=False, repr=False)
+    # ``predict``'s list of one prediction per target-table row of each database it predicted on.
     _requests: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def iter_nodes(self):
@@ -561,29 +572,25 @@ def _leaf_prediction(model: TreeModel, leaf: LeafNode) -> Prediction:
     return Prediction(label=model.class_labels[leaf.prediction], index=leaf.prediction, probabilities=probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Router:
     """A model flattened for routing.
 
-    Inner node ``i`` is ``inner[i] = (slot, is_le, operand, undefined_left,
-    left, right)``.  Its test reads the cells of the model's
-    ``descriptors[slot]`` and passes on ``cell <= operand`` (numeric) or
-    ``cell == operand`` (boolean and categorical, whose operand is True or
-    the tested value).  A child index ``~k`` (negative) is the leaf whose
-    prediction is ``leaves[k]``.  ``paths`` holds every descriptor's path
-    and its prefixes, each after its prefix: ``parents[p]`` is the index of
-    path ``p`` minus its last hop (-1 for the target table itself),
-    ``slot_paths[slot]`` the index of the slot's path, and ``readers[p]``
-    the number of slots whose path is ``p`` or extends it.
+    Inner node ``i`` is ``inner[i] = (slot, test, left, right)``: ``test``
+    reads the cells of the model's ``descriptors[slot]``.  A child index
+    ``~k`` (negative) is the leaf whose prediction is ``leaves[k]``, an
+    object array.  ``paths`` holds every descriptor's path and its prefixes,
+    each after its prefix: ``parents[p]`` is the index of path ``p`` minus
+    its last hop (-1 for the target table itself), and ``slot_paths[slot]``
+    the index of the slot's path.
     """
 
     root: int
     inner: tuple[tuple, ...]
-    leaves: tuple[Prediction, ...]
+    leaves: np.ndarray
     slot_paths: tuple[int, ...]
     paths: tuple[JoinPath, ...]
     parents: tuple[int, ...]
-    readers: tuple[int, ...]
 
 
 def _flatten(model: TreeModel, node: TreeNode, slots: dict, inner: list, leaves: list) -> int:
@@ -596,20 +603,11 @@ def _flatten(model: TreeModel, node: TreeNode, slots: dict, inner: list, leaves:
     if isinstance(node, LeafNode):
         leaves.append(_leaf_prediction(model, node))
         return ~(len(leaves) - 1)
-    t = node.test
-    if t.kind == "numeric_le":
-        operand = t.threshold
-    elif t.kind == "boolean_true":
-        operand = True
-    elif t.kind == "categorical_eq":
-        operand = t.value
-    else:
-        raise ValueError(f"unknown test kind {t.kind!r}")
     i = len(inner)
     inner.append(None)
     left = _flatten(model, node.left, slots, inner, leaves)
     right = _flatten(model, node.right, slots, inner, leaves)
-    inner[i] = (slots[t.descriptor], t.kind == "numeric_le", operand, t.undefined_route == "pass", left, right)
+    inner[i] = (slots[node.test.descriptor], node.test, left, right)
     return i
 
 
@@ -627,59 +625,36 @@ def _compile(model: TreeModel) -> _Router:
             if prefix not in path_index:
                 path_index[prefix] = len(parents)
                 parents.append(path_index[d.path.prefix(k - 1)] if k else -1)
-    slot_paths = tuple(path_index[d.path] for d in model.descriptors)
-    readers = [0] * len(parents)
-    for p in slot_paths:
-        while p >= 0:
-            readers[p] += 1
-            p = parents[p]
+    leaf_array = np.empty(len(leaves), dtype=object)
+    leaf_array[:] = leaves
     return _Router(
         root=root,
         inner=tuple(inner),
-        leaves=tuple(leaves),
-        slot_paths=slot_paths,
+        leaves=leaf_array,
+        slot_paths=tuple(path_index[d.path] for d in model.descriptors),
         paths=tuple(path_index),
         parents=tuple(parents),
-        readers=tuple(readers),
     )
 
 
-def _cells(col: FeatureColumn) -> list:
-    """A column as a list of Python cells, None where undefined.
-
-    Categorical codes are decoded through the column's dictionary, which is
-    the predicting database's, so tests compare values, never codes.
-    """
-    if col.kind == CATEGORICAL:  # undefined codes are -1, which picks the trailing None
-        return np.asarray((*(col.dictionary or ()), None), dtype=object)[col.values].tolist()
-    cells = col.values.tolist()
-    for i in (~col.defined).nonzero()[0].tolist():
-        cells[i] = None
-    return cells
-
-
 class _Request:
-    """Per-request caches: each path joined once, each tested feature computed once.
+    """One prediction call's caches: each path joined once, each tested feature computed once.
 
     A plain object rather than closures, so that a finished request holds no
-    reference cycle and is freed at once, not by the cyclic collector.  It
-    holds no reference to the database either: the caller passes it in, so
-    a request a model keeps does not keep the database alive.  A path's join
-    and aggregates are dropped once every column that reads them is made,
-    so a request keeps its cells and little else.
+    reference cycle and is freed at once, not by the cyclic collector.  No
+    request outlives the call that made it.
     """
 
-    def __init__(self, model: TreeModel, ids: np.ndarray) -> None:
+    def __init__(self, model: TreeModel, db: Database, ids: np.ndarray) -> None:
         self.router = model._router
         self.descriptors = model.descriptors
+        self.db = db
         self.ids = ids
         self.instantiations: list[JoinInstantiation | None] = [None] * len(self.router.paths)
         self.aggregates: dict[int, dict] = {}
-        self.columns: list[list | None] = [None] * len(self.descriptors)
-        # Per path, the columns still to be made from its join.
-        self.unread = list(self.router.readers)
+        self.columns: list[FeatureColumn | None] = [None] * len(self.descriptors)
 
-    def instantiation(self, db: Database, p: int) -> JoinInstantiation:
+    def instantiation(self, p: int) -> JoinInstantiation:
         inst = self.instantiations[p]
         if inst is None:
             router = self.router
@@ -688,50 +663,59 @@ class _Request:
                 ids = self.ids
                 inst = JoinInstantiation(router.paths[p], ids, np.arange(len(ids) + 1, dtype=np.int64), ids)
             else:  # the prefix cache: extend the parent path by its last hop
-                inst = join_hop(db, self.instantiation(db, parent), router.paths[p])
+                inst = join_hop(self.db, self.instantiation(parent), router.paths[p])
             self.instantiations[p] = inst
         return inst
 
-    def cells(self, db: Database, slot: int) -> list:
-        p = self.router.slot_paths[slot]
-        col = feature_cells(db, self.instantiation(db, p), self.descriptors[slot], self.aggregates.setdefault(p, {}))
-        cells = self.columns[slot] = _cells(col)
-        parents, unread = self.router.parents, self.unread
-        while p >= 0:
-            unread[p] -= 1
-            if not unread[p]:
-                self.instantiations[p] = None
-                self.aggregates.pop(p, None)
-            p = parents[p]
-        return cells
+    def column(self, slot: int) -> FeatureColumn:
+        col = self.columns[slot]
+        if col is None:
+            p = self.router.slot_paths[slot]
+            col = self.columns[slot] = feature_cells(self.db, self.instantiation(p), self.descriptors[slot],
+                                                     self.aggregates.setdefault(p, {}))
+        return col
 
 
-def _route(request: _Request, db: Database, rows) -> list[Prediction]:
-    """Predictions for rows of ``request``, given by position in its ids, in their order.
+def _route(request: _Request) -> np.ndarray:
+    """The leaf index (into the router's ``leaves``) of each of the request's rows, as an ``intp`` array.
 
+    Rows go down the tree a node at a time: each inner node takes the
+    positions of the rows that reached it, reads the tested column's cells
+    there, and splits them by :func:`.ldt.left_mask`, the test evaluation
+    training's partition uses.  A tested column is computed, for every row
+    of the request, the first time some rows reach a node that tests it.
     Routing is positional: row ``r`` reads cell ``r`` of each column, so the
     ids need not be ascending or distinct.  Of the join code only
     :meth:`JoinInstantiation.restrict` needs ascending ids, and prediction
     never restricts.
     """
-    columns = request.columns
-    inner, leaves, root = request.router.inner, request.router.leaves, request.router.root
-    out = []
-    for r in rows:
-        i = root
-        while i >= 0:
-            slot, is_le, operand, undefined_left, left, right = inner[i]
-            cells = columns[slot]
-            if cells is None:
-                cells = request.cells(db, slot)
-            v = cells[r]
-            if v is None:
-                go_left = undefined_left
-            else:
-                go_left = v <= operand if is_le else v == operand
-            i = left if go_left else right
-        out.append(leaves[~i])
+    inner = request.router.inner
+    out = np.empty(len(request.ids), dtype=np.intp)
+    stack = [(request.router.root, np.arange(len(out)))]
+    while stack:
+        i, rows = stack.pop()
+        if i < 0:
+            out[rows] = ~i
+            continue
+        slot, test, left, right = inner[i]
+        col = request.column(slot)
+        go_left = left_mask(test, col.values[rows], col.defined[rows], col.dictionary)
+        # count_nonzero, not ndarray.any: on a node's few rows any() costs several times as much.
+        n_left = np.count_nonzero(go_left)
+        if n_left == len(rows):
+            stack.append((left, rows))
+        elif n_left == 0:
+            stack.append((right, rows))
+        else:
+            stack.append((right, rows[~go_left]))
+            stack.append((left, rows[go_left]))
     return out
+
+
+def _predictions(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
+    """The prediction of each target-table row id of ``ids``, in order; the ids are already checked."""
+    request = _Request(model, db, ids)
+    return request.router.leaves[_route(request)].tolist()
 
 
 def _misfit(where: str, problem: str) -> ModelMismatchError:
@@ -766,12 +750,8 @@ def _descriptor_kind(db: Database, d: FeatureDescriptor, where: str) -> str:
     return BOOLEAN if d.agg is Agg.CONTAINS else NUMERIC
 
 
-# A router node's (is_le, operand is True) -> its test kind and the kind of cells that test compares.
-_ROUTER_TESTS = {
-    (True, False): ("numeric_le", NUMERIC),
-    (False, True): ("boolean_true", BOOLEAN),
-    (False, False): ("categorical_eq", CATEGORICAL),
-}
+# A test kind -> the kind of cells it compares.
+_TEST_CELLS = {"numeric_le": NUMERIC, "boolean_true": BOOLEAN, "categorical_eq": CATEGORICAL}
 
 
 def _inner_where(root: TreeNode, k: int) -> str:
@@ -790,46 +770,43 @@ def _inner_where(root: TreeNode, k: int) -> str:
 def _check_fits(model: TreeModel, db: Database) -> None:
     """ModelMismatchError naming the first descriptor or test that ``db`` cannot compute or compare.
 
-    Tests are read from the router, as prediction reads them: ``<=`` needs
-    numeric cells, ``== True`` boolean ones and ``==`` a value categorical ones.
+    Tests are read from the router, as prediction reads them: a numeric_le
+    test needs numeric cells, boolean_true boolean ones and categorical_eq
+    categorical ones.
     """
     kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]") for slot, d in enumerate(model.descriptors)]
-    for k, (slot, is_le, operand, *_) in enumerate(model._router.inner):
-        test, needs = _ROUTER_TESTS[is_le, operand is True]
-        if kinds[slot] != needs:
+    for k, (slot, test, *_) in enumerate(model._router.inner):
+        if kinds[slot] != _TEST_CELLS.get(test.kind):
             raise _misfit(f"{_inner_where(model.root, k)}.test.kind",
-                          f"a {test} test on the {kinds[slot]} feature descriptors[{slot}]")
+                          f"a {test.kind} test on the {kinds[slot]} feature descriptors[{slot}]")
 
 
 def check_compatible(model: TreeModel, db: Database) -> None:
     """Raise ModelMismatchError unless ``db`` can compute every feature the model tests, as its tests read them.
 
     The schema fingerprint is compared on every call; the descriptors and
-    tests are checked against ``db`` once, until the model meets another
-    database.
+    tests are checked once per database, which the model then remembers
+    for as long as both live.
     """
     if fingerprint(db.catalog) != model.schema_fingerprint:
         raise ModelMismatchError("database schema does not match the model's schema fingerprint")
-    if model._fits is None or model._fits() is not db:
+    if db not in model._fits:
         _check_fits(model, db)
-        model._fits = weakref.ref(db)
+        model._fits.add(db)
 
 
 def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     """Route one target-table row through the tree; equals ``predict_many(model, db, [instance])[0]``.
 
-    A model keeps one request per database it predicts on, over every
-    target-table row of that database: the first call on a (model, database)
-    pair makes it, and each call routes its one row over that request's
-    cells, computing a tested feature for the whole table the first time a
-    routed row reaches a node that tests it.  This pays off only for many
-    calls on one pair: the first calls there cost about one
-    :func:`predict_many` over the whole table, and later ones only their id
-    check and routing.  The request keeps the cells computed so far (a
-    path's join and aggregates go once every column that reads them is
-    made) until the model or the database is freed; it holds no reference
-    to the database.  Raises ``ValueError`` when the id is not an ``int`` or
-    ``np.integer`` (a bool is refused) or is not a row of the target table.
+    The first call on a (model, database) pair routes every target-table
+    row of that database at once, as :func:`predict_many` would, and the
+    model keeps the resulting list of one prediction per row; that call,
+    and later ones, check their id and index the list.  This pays off only
+    for many calls on one pair: the first costs one :func:`predict_many`
+    over the whole table.  The list holds no join, cell or reference to the
+    database, and goes when the model or the database is freed.  Raises
+    ``ValueError`` when the id is not an ``int`` or ``np.integer`` (a bool
+    is refused) or is not a row of the target table.
     """
     check_compatible(model, db)
     if not _is_integer_id(instance):
@@ -838,10 +815,10 @@ def predict(model: TreeModel, db: Database, instance: int) -> Prediction:
     n_rows = db.tables[db.catalog.target_table].n_rows
     if not 0 <= i < n_rows:
         raise _outside(i, n_rows)
-    request = model._requests.get(db)
-    if request is None:
-        request = model._requests[db] = _Request(model, np.arange(n_rows, dtype=np.int64))
-    return _route(request, db, (i,))[0]
+    kept = model._requests.get(db)
+    if kept is None:
+        kept = model._requests[db] = _predictions(model, db, np.arange(n_rows, dtype=np.int64))
+    return kept[i]
 
 
 def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
@@ -849,15 +826,17 @@ def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
 
     The request is columnar: the ids, as given, are joined along each path
     the tree reaches once, and each tested feature is computed once, for all
-    of them, when the first row reaches a node that tests it, by the same code
-    that built the training columns.  Rows are then routed through the tree
-    over those cells.  Each call makes its own request and frees it on
-    return.  Raises ``ValueError`` naming an id that is not an integer row
-    of the target table.  Prediction adds nothing to ``db.stats``.
+    of them, when rows first reach a node that tests it, by the same code
+    that built the training columns.  The rows then go down the tree a node
+    at a time, each node splitting the positions that reached it with one
+    numpy mask (:func:`_route`).  Each call makes its own request and frees
+    it on return.  Raises ``ValueError`` naming an id that is not an
+    integer row of the target table.  Prediction adds nothing to
+    ``db.stats``.
     """
     check_compatible(model, db)
     ids = _check_ids(instances, db.tables[db.catalog.target_table].n_rows)
-    return _route(_Request(model, ids), db, range(len(ids))) if ids.size else []
+    return _predictions(model, db, ids) if ids.size else []
 
 
 # ---------------------------------------------------------------------------

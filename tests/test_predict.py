@@ -3,6 +3,7 @@ check against the row-at-a-time router in ``oracles.naive_predict``."""
 
 import gc
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import naive_predict, random_micro_db
+from oracles import _descriptor_value, naive_predict, random_micro_db
 
 import reltree.tree as tree_module
 from reltree.evaluate import SchoolSpec, generate_school_db
@@ -18,7 +19,7 @@ from reltree.features import Agg
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
 from reltree.storage import DataError, build_database
-from reltree.tree import grow_tree, predict, predict_many
+from reltree.tree import LeafNode, Prediction, _preorder, grow_tree, predict, predict_many
 
 
 def _pairs(preds):
@@ -81,6 +82,31 @@ def test_categorical_tests_route_by_value_not_code():
     assert _pairs(got) == naive_predict(model, other, range(150))
     assert [p.label for p in got] == data.labels
     assert got == predict_many(model, data.db, range(150))
+
+
+def test_a_categorical_value_missing_from_the_predicting_database_fails_its_test():
+    data = generate_school_db(19, SchoolSpec(n_professors=150, rule="movie_genre"))
+    model = grow_tree(data.db, LearnParams())
+    root = model.root.test
+    assert root.kind == "categorical_eq"
+    tables = dict(data.tables)
+    tables["Movie"] = [{**row, "genre": "renamed" if row["genre"] == root.value else row["genre"]}
+                       for row in data.tables["Movie"]]
+    renamed = build_database(data.catalog, tables)
+    assert root.value not in renamed.tables["Movie"].columns["genre"].dictionary
+
+    rnd = random.Random(5)
+    request = [rnd.randrange(150) for _ in range(300)]
+    got = predict_many(model, renamed, request)
+    assert _pairs(got) == naive_predict(model, renamed, request)
+    singles = [predict(model, renamed, i) for i in range(150)]
+    assert _pairs(singles) == naive_predict(model, renamed, range(150))
+    # The router numbers leaves in preorder, so the fail side's come after the pass side's.
+    first_fail = sum(isinstance(node, LeafNode) for node in _preorder(model.root.left))
+    leaf_of = {id(p): k for k, p in enumerate(model._router.leaves)}
+    defined = [i for i in range(150) if _descriptor_value(renamed, i, root.descriptor, {})[1]]
+    assert defined
+    assert all(leaf_of[id(p)] >= first_fail for p in (singles[i] for i in defined))
 
 
 def test_contains_tests_stay_linear_in_a_larger_dictionary():
@@ -167,7 +193,7 @@ def test_each_tested_feature_is_computed_once_per_request(monkeypatch):
     assert len(calls) == len(set(calls))
     assert set(calls) <= set(model.descriptors)
 
-    # Single-row calls share one request per model and database.
+    # Single-row calls route the whole table once per model and database.
     calls.clear()
     for i in range(50):
         predict(model, data.db, (7 * i) % 150)
@@ -205,38 +231,73 @@ def _predict_every_row(model, db):
         predict(model, db, i)
 
 
-def test_the_kept_request_goes_with_its_database():
+def test_the_kept_predictions_go_with_their_database():
     data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
     model = grow_tree(data.db, LearnParams())
     db = data.db
     del data
     _predict_every_row(model, db)
-    kept = weakref.ref(model._requests[db])
+    kept = model._requests[db]
+    leaf = kept[0]
+    held, listed = sys.getrefcount(leaf), sum(p is leaf for p in kept)
+    del kept
     gone = weakref.ref(db)
     del db
     gc.collect()
-    assert gone() is None
-    assert kept() is None and len(model._requests) == 0
+    assert gone() is None and len(model._requests) == 0 and len(model._fits) == 0
+    assert sys.getrefcount(leaf) == held - listed  # the list went with its database
 
 
-def test_the_kept_request_goes_with_its_model():
+def test_the_kept_predictions_go_with_their_model():
     data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
     model = grow_tree(data.db, LearnParams())
     _predict_every_row(model, data.db)
-    kept = weakref.ref(model._requests[data.db])
-    del model
-    assert kept() is None  # freed by reference counting, without a collection
+    # A prediction the kept list holds; the model's router holds it too.
+    kept = weakref.ref(model._requests[data.db][0])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model
+        assert kept() is None  # freed by reference counting, without a collection
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def test_a_kept_request_drops_each_join_once_its_columns_are_made():
+def test_the_kept_state_is_one_prediction_per_row():
     data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
     model = grow_tree(data.db, LearnParams())
     _predict_every_row(model, data.db)
-    request = model._requests[data.db]
-    # The training rows reach every node, so every tested column is made.
-    assert None not in request.columns
-    assert request.instantiations == [None] * len(model._router.paths)
-    assert request.aggregates == {}
+    kept = model._requests[data.db]
+    # No join, aggregate or cell array: one Prediction per target-table row.
+    assert type(kept) is list and len(kept) == 150
+    assert all(type(p) is Prediction for p in kept)
+    assert kept == predict_many(model, data.db, range(150))
+
+
+def test_a_model_checks_each_database_it_fits_once(monkeypatch):
+    data = generate_school_db(19, SchoolSpec(n_professors=150, rule="movie_genre"))
+    model = grow_tree(data.db, LearnParams())
+    other = _reordered_movies(data)
+    checked, compared = [], []
+    real_check, real_fingerprint = tree_module._check_fits, tree_module.fingerprint
+
+    def check(m, db):
+        checked.append(db)
+        return real_check(m, db)
+
+    def fingerprint(catalog):
+        compared.append(catalog)
+        return real_fingerprint(catalog)
+
+    monkeypatch.setattr(tree_module, "_check_fits", check)
+    monkeypatch.setattr(tree_module, "fingerprint", fingerprint)
+    for i in range(20):
+        for db in (data.db, other):
+            assert _pairs([predict(model, db, i)]) == naive_predict(model, db, [i])
+    predict_many(model, data.db, range(10))
+    assert len(checked) == 2 and checked[0] is data.db and checked[1] is other
+    assert len(compared) == 41  # the schema fingerprint is still compared on every call
 
 
 def test_a_model_compiles_its_router_once(monkeypatch):
