@@ -172,7 +172,7 @@ class JoinInstantiation:
         return self.rows[self.offsets[i]:self.offsets[i + 1]]
 
     def restrict(self, instance_ids) -> "JoinInstantiation":
-        """View of this instantiation over a subset of its instances."""
+        """A copy of this instantiation over ``instance_ids``, ascending ids among its own: new arrays, not views."""
         ids = np.asarray(instance_ids, dtype=np.int64)
         pos = np.searchsorted(self.instance_ids, ids)
         if (pos >= len(self.instance_ids)).any() or not np.array_equal(self.instance_ids[pos], ids):

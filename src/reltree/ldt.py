@@ -393,7 +393,7 @@ def left_mask(test: "SplitTest", values: np.ndarray, defined: np.ndarray,
     the categorical dictionary their codes index.  A categorical test looks
     its value up there: a value the dictionary lacks compares against code
     -2, which no cell holds, so every defined cell fails.  Training's
-    :func:`split_rows` and prediction's router both split through here, so
+    :func:`split_rows` and prediction's routing both split through here, so
     a row takes the same side of a test in both.
     """
     if test.kind == "numeric_le":

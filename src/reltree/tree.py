@@ -439,8 +439,12 @@ class TreeModel:
         return sum(1 for _ in self.iter_nodes())
 
     @computed_once
-    def _router(self) -> "_Router":
-        return _compile(self)
+    def _leaves(self) -> tuple[dict[int, int], np.ndarray]:
+        """Each leaf's position in preorder, keyed by ``id``; an object array of their predictions there."""
+        leaves = [node for node in self.iter_nodes() if isinstance(node, LeafNode)]
+        predictions = np.empty(len(leaves), dtype=object)
+        predictions[:] = [_leaf_prediction(self, leaf) for leaf in leaves]
+        return {id(leaf): k for k, leaf in enumerate(leaves)}, predictions
 
 
 def _grow(db: Database, ldt: LocalDataTable, params: LearnParams) -> TreeNode:
@@ -572,150 +576,76 @@ def _leaf_prediction(model: TreeModel, leaf: LeafNode) -> Prediction:
     return Prediction(label=model.class_labels[leaf.prediction], index=leaf.prediction, probabilities=probs)
 
 
-@dataclass(frozen=True, eq=False)
-class _Router:
-    """A model flattened for routing.
+class _Request(dict):
+    """One prediction call's columns, by descriptor: each computed on its first lookup, for every row.
 
-    Inner node ``i`` is ``inner[i] = (slot, test, left, right)``: ``test``
-    reads the cells of the model's ``descriptors[slot]``.  A child index
-    ``~k`` (negative) is the leaf whose prediction is ``leaves[k]``, an
-    object array.  ``paths`` holds every descriptor's path and its prefixes,
-    each after its prefix: ``parents[p]`` is the index of path ``p`` minus
-    its last hop (-1 for the target table itself), and ``slot_paths[slot]``
-    the index of the slot's path.
-    """
-
-    root: int
-    inner: tuple[tuple, ...]
-    leaves: np.ndarray
-    slot_paths: tuple[int, ...]
-    paths: tuple[JoinPath, ...]
-    parents: tuple[int, ...]
-
-
-def _flatten(model: TreeModel, node: TreeNode, slots: dict, inner: list, leaves: list) -> int:
-    """Append ``node``'s subtree to ``inner`` and ``leaves`` in preorder; its index there.
-
-    A module function rather than a closure in :func:`_compile`: a closure
-    that calls itself is a reference cycle, which would hold the model until
-    the cyclic collector runs.
-    """
-    if isinstance(node, LeafNode):
-        leaves.append(_leaf_prediction(model, node))
-        return ~(len(leaves) - 1)
-    i = len(inner)
-    inner.append(None)
-    left = _flatten(model, node.left, slots, inner, leaves)
-    right = _flatten(model, node.right, slots, inner, leaves)
-    inner[i] = (slots[node.test.descriptor], node.test, left, right)
-    return i
-
-
-def _compile(model: TreeModel) -> _Router:
-    # Slot i is model.descriptors[i], so a slot names its descriptor's field path.
-    slots = {d: i for i, d in enumerate(model.descriptors)}
-    path_index: dict[JoinPath, int] = {}
-    parents: list[int] = []
-    inner: list = []
-    leaves: list[Prediction] = []
-    root = _flatten(model, model.root, slots, inner, leaves)
-    for d in model.descriptors:
-        for k in range(len(d.path.hops) + 1):
-            prefix = d.path.prefix(k)
-            if prefix not in path_index:
-                path_index[prefix] = len(parents)
-                parents.append(path_index[d.path.prefix(k - 1)] if k else -1)
-    leaf_array = np.empty(len(leaves), dtype=object)
-    leaf_array[:] = leaves
-    return _Router(
-        root=root,
-        inner=tuple(inner),
-        leaves=leaf_array,
-        slot_paths=tuple(path_index[d.path] for d in model.descriptors),
-        paths=tuple(path_index),
-        parents=tuple(parents),
-    )
-
-
-class _Request:
-    """One prediction call's caches: each path joined once, each tested feature computed once.
-
-    A plain object rather than closures, so that a finished request holds no
-    reference cycle and is freed at once, not by the cyclic collector.  No
+    A missing column's path is joined first.  Joins are kept by path,
+    starting from the target table's own, whose bag of each row is the row
+    itself; a path not joined yet is its prefix one hop shorter, found the
+    same way, extended by :func:`.joinpath.join_hop`, which adds nothing to
+    ``db.stats``.  Each join keeps the attribute aggregates the descriptors
+    of its path share.  A dict, so that a node finds a column computed
+    already by plain subscription; it holds no reference cycle, so a
+    finished request is freed at once, not by the cyclic collector.  No
     request outlives the call that made it.
     """
 
-    def __init__(self, model: TreeModel, db: Database, ids: np.ndarray) -> None:
-        self.router = model._router
-        self.descriptors = model.descriptors
+    def __init__(self, db: Database, ids: np.ndarray) -> None:
+        super().__init__()
         self.db = db
-        self.ids = ids
-        self.instantiations: list[JoinInstantiation | None] = [None] * len(self.router.paths)
-        self.aggregates: dict[int, dict] = {}
-        self.columns: list[FeatureColumn | None] = [None] * len(self.descriptors)
+        start = JoinPath(db.catalog.target_table)
+        self.joins = {start: (JoinInstantiation(start, ids, np.arange(len(ids) + 1, dtype=np.int64), ids), {})}
 
-    def instantiation(self, p: int) -> JoinInstantiation:
-        inst = self.instantiations[p]
-        if inst is None:
-            router = self.router
-            parent = router.parents[p]
-            if parent < 0:
-                ids = self.ids
-                inst = JoinInstantiation(router.paths[p], ids, np.arange(len(ids) + 1, dtype=np.int64), ids)
-            else:  # the prefix cache: extend the parent path by its last hop
-                inst = join_hop(self.db, self.instantiation(parent), router.paths[p])
-            self.instantiations[p] = inst
-        return inst
+    def join(self, path: JoinPath) -> tuple[JoinInstantiation, dict]:
+        found = self.joins.get(path)
+        if found is None:
+            inst = join_hop(self.db, self.join(path.prefix(len(path) - 1))[0], path)
+            found = self.joins[path] = (inst, {})
+        return found
 
-    def column(self, slot: int) -> FeatureColumn:
-        col = self.columns[slot]
-        if col is None:
-            p = self.router.slot_paths[slot]
-            col = self.columns[slot] = feature_cells(self.db, self.instantiation(p), self.descriptors[slot],
-                                                     self.aggregates.setdefault(p, {}))
+    def __missing__(self, d: FeatureDescriptor) -> FeatureColumn:
+        inst, aggregates = self.join(d.path)
+        col = self[d] = feature_cells(self.db, inst, d, aggregates)
         return col
 
 
-def _route(request: _Request) -> np.ndarray:
-    """The leaf index (into the router's ``leaves``) of each of the request's rows, as an ``intp`` array.
+def _predictions(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
+    """The prediction of each target-table row id of ``ids``, in order; the ids are already checked.
 
-    Rows go down the tree a node at a time: each inner node takes the
+    Rows go down ``model.root`` a node at a time: each inner node takes the
     positions of the rows that reached it, reads the tested column's cells
     there, and splits them by :func:`.ldt.left_mask`, the test evaluation
-    training's partition uses.  A tested column is computed, for every row
-    of the request, the first time some rows reach a node that tests it.
-    Routing is positional: row ``r`` reads cell ``r`` of each column, so the
-    ids need not be ascending or distinct.  Of the join code only
+    training's partition uses; each leaf writes its position among the
+    model's leaves for its rows, and one gather turns those into
+    predictions.  A tested column is computed, for every row of the request,
+    the first time some rows reach a node that tests it.  Routing is
+    positional: row ``r`` reads cell ``r`` of each column, so the ids need
+    not be ascending or distinct.  Of the join code only
     :meth:`JoinInstantiation.restrict` needs ascending ids, and prediction
     never restricts.
     """
-    inner = request.router.inner
-    out = np.empty(len(request.ids), dtype=np.intp)
-    stack = [(request.router.root, np.arange(len(out)))]
+    columns = _Request(db, ids)
+    positions, leaves = model._leaves
+    out = np.empty(len(ids), dtype=np.intp)
+    stack = [(model.root, np.arange(len(ids)))]
     while stack:
-        i, rows = stack.pop()
-        if i < 0:
-            out[rows] = ~i
+        node, rows = stack.pop()
+        if type(node) is LeafNode:  # not isinstance, which costs more on every node a request reaches
+            out[rows] = positions[id(node)]
             continue
-        slot, test, left, right = inner[i]
-        col = request.column(slot)
+        test = node.test
+        col = columns[test.descriptor]
         go_left = left_mask(test, col.values[rows], col.defined[rows], col.dictionary)
         # count_nonzero, not ndarray.any: on a node's few rows any() costs several times as much.
         n_left = np.count_nonzero(go_left)
         if n_left == len(rows):
-            stack.append((left, rows))
+            stack.append((node.left, rows))
         elif n_left == 0:
-            stack.append((right, rows))
+            stack.append((node.right, rows))
         else:
-            stack.append((right, rows[~go_left]))
-            stack.append((left, rows[go_left]))
-    return out
-
-
-def _predictions(model: TreeModel, db: Database, ids: np.ndarray) -> list[Prediction]:
-    """The prediction of each target-table row id of ``ids``, in order; the ids are already checked."""
-    request = _Request(model, db, ids)
-    return request.router.leaves[_route(request)].tolist()
+            stack.append((node.right, rows[~go_left]))
+            stack.append((node.left, rows[go_left]))
+    return leaves[out].tolist()
 
 
 def _misfit(where: str, problem: str) -> ModelMismatchError:
@@ -754,31 +684,25 @@ def _descriptor_kind(db: Database, d: FeatureDescriptor, where: str) -> str:
 _TEST_CELLS = {"numeric_le": NUMERIC, "boolean_true": BOOLEAN, "categorical_eq": CATEGORICAL}
 
 
-def _inner_where(root: TreeNode, k: int) -> str:
-    """Field path of the router's inner node ``k``: the ``k``-th inner node in preorder, left child first."""
-    stack = [(root, "root")]
-    while stack:
-        node, where = stack.pop()
-        if isinstance(node, InnerNode):
-            if k == 0:
-                return where
-            k -= 1
-            stack += [(node.right, f"{where}.right"), (node.left, f"{where}.left")]
-    raise IndexError(k)
-
-
 def _check_fits(model: TreeModel, db: Database) -> None:
     """ModelMismatchError naming the first descriptor or test that ``db`` cannot compute or compare.
 
-    Tests are read from the router, as prediction reads them: a numeric_le
-    test needs numeric cells, boolean_true boolean ones and categorical_eq
+    The descriptors are checked in order, then the tests in preorder, left
+    child first, each named by its node's field path: a numeric_le test
+    needs numeric cells, boolean_true boolean ones and categorical_eq
     categorical ones.
     """
+    slots = {d: slot for slot, d in enumerate(model.descriptors)}
     kinds = [_descriptor_kind(db, d, f"descriptors[{slot}]") for slot, d in enumerate(model.descriptors)]
-    for k, (slot, test, *_) in enumerate(model._router.inner):
-        if kinds[slot] != _TEST_CELLS.get(test.kind):
-            raise _misfit(f"{_inner_where(model.root, k)}.test.kind",
-                          f"a {test.kind} test on the {kinds[slot]} feature descriptors[{slot}]")
+    stack = [(model.root, "root")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, InnerNode):
+            test, slot = node.test, slots[node.test.descriptor]
+            if kinds[slot] != _TEST_CELLS.get(test.kind):
+                raise _misfit(f"{where}.test.kind",
+                              f"a {test.kind} test on the {kinds[slot]} feature descriptors[{slot}]")
+            stack += [(node.right, f"{where}.right"), (node.left, f"{where}.left")]
 
 
 def check_compatible(model: TreeModel, db: Database) -> None:
@@ -827,12 +751,12 @@ def predict_many(model: TreeModel, db: Database, instances) -> list[Prediction]:
     The request is columnar: the ids, as given, are joined along each path
     the tree reaches once, and each tested feature is computed once, for all
     of them, when rows first reach a node that tests it, by the same code
-    that built the training columns.  The rows then go down the tree a node
-    at a time, each node splitting the positions that reached it with one
-    numpy mask (:func:`_route`).  Each call makes its own request and frees
-    it on return.  Raises ``ValueError`` naming an id that is not an
-    integer row of the target table.  Prediction adds nothing to
-    ``db.stats``.
+    that built the training columns.  The rows then go down the model's
+    tree a node at a time, each node splitting the positions that reached
+    it with one numpy mask (:func:`_predictions`).  Each call makes its own
+    request and frees it on return.  Raises ``ValueError`` naming an id
+    that is not an integer row of the target table.  Prediction adds
+    nothing to ``db.stats``.
     """
     check_compatible(model, db)
     ids = _check_ids(instances, db.tables[db.catalog.target_table].n_rows)
@@ -889,11 +813,13 @@ def _path_from_doc(doc: dict, where: str) -> JoinPath:
     return JoinPath(start=_text(doc, "start", where), hops=tuple(hops))
 
 
-def _descriptor_from_doc(doc: dict, where: str) -> FeatureDescriptor:
+def _descriptor_from_doc(doc: dict, where: str, paths: dict[JoinPath, JoinPath]) -> FeatureDescriptor:
+    """The descriptor of ``doc``; equal paths share the object ``paths`` keeps, so prediction finds joins by identity."""
     agg = _get(doc, "agg", where)
     if agg not in _AGG_BY_NAME:
         raise _invalid(f"{where}.agg", f"unknown aggregator {agg!r}")
     path = _path_from_doc(_get(doc, "path", where), f"{where}.path")
+    path = paths.setdefault(path, path)
     return FeatureDescriptor(path=path, attribute=_text(doc, "attribute", where, optional=True),
                              agg=_AGG_BY_NAME[agg], value=_text(doc, "value", where, optional=True))
 
@@ -1005,8 +931,9 @@ def deserialize_model(document: str) -> TreeModel:
         class_labels = _get(doc, "class_labels", "")
         if not isinstance(class_labels, list) or not all(isinstance(c, str) for c in class_labels):
             raise _invalid("class_labels", "expected a list of strings")
+        paths: dict[JoinPath, JoinPath] = {}
         descriptors = tuple(
-            _descriptor_from_doc(d, f"descriptors[{i}]") for i, d in enumerate(_get(doc, "descriptors", ""))
+            _descriptor_from_doc(d, f"descriptors[{i}]", paths) for i, d in enumerate(_get(doc, "descriptors", ""))
         )
         first: dict[FeatureDescriptor, int] = {}
         for j, d in enumerate(descriptors):

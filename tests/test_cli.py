@@ -323,6 +323,13 @@ def _numeric_test_on_categorical(doc):
     return "root.test.kind"
 
 
+def _boolean_test_on_numeric_below_the_root(doc):
+    test = doc["root"]["right"]["left"]["test"]
+    assert test["kind"] == "numeric_le" and doc["descriptors"][test["descriptor"]]["name"].endswith(".grade:avg")
+    test["kind"] = "boolean_true"
+    return "root.right.left.test.kind"
+
+
 @pytest.mark.parametrize("misfit", [
     lambda doc: _set_descriptor(doc, 0, "attribute", "bogus"),
     lambda doc: _set_descriptor(doc, 1, "attribute", "MID"),  # a key, not an attribute
@@ -330,6 +337,7 @@ def _numeric_test_on_categorical(doc):
     lambda doc: _set_hop(doc, 1, "to_column", "Nope"),
     lambda doc: _set_hop(doc, 0, "many_to_one", True),  # Course is reached one-to-many
     _numeric_test_on_categorical,
+    _boolean_test_on_numeric_below_the_root,
 ])
 def test_model_that_does_not_fit_the_database_exits_one_naming_the_field(school_paths, tmp_path, capsys, misfit):
     """A well-formed model whose features the database cannot compute, or its tests compare, is one error line."""

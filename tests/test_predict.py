@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from reltree.features import Agg
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
 from reltree.storage import DataError, build_database
-from reltree.tree import LeafNode, Prediction, _preorder, grow_tree, predict, predict_many
+from reltree.tree import LeafNode, Prediction, grow_tree, predict, predict_many
 
 
 def _pairs(preds):
@@ -101,12 +102,19 @@ def test_a_categorical_value_missing_from_the_predicting_database_fails_its_test
     assert _pairs(got) == naive_predict(model, renamed, request)
     singles = [predict(model, renamed, i) for i in range(150)]
     assert _pairs(singles) == naive_predict(model, renamed, range(150))
-    # The router numbers leaves in preorder, so the fail side's come after the pass side's.
-    first_fail = sum(isinstance(node, LeafNode) for node in _preorder(model.root.left))
-    leaf_of = {id(p): k for k, p in enumerate(model._router.leaves)}
+    # Every row whose root cell is defined takes the fail side: the root's test over a class-0
+    # leaf on its pass side and a class-1 leaf on its fail side predicts class 1 for each of them,
+    # and the model predicts them as its fail subtree alone does.
     defined = [i for i in range(150) if _descriptor_value(renamed, i, root.descriptor, {})[1]]
     assert defined
-    assert all(leaf_of[id(p)] >= first_fail for p in (singles[i] for i in defined))
+    n_classes = len(model.class_labels)
+    pass_leaf, fail_leaf = (LeafNode(tuple(int(c == k) for c in range(n_classes)), k) for k in (0, 1))
+    stump = replace(model, root=replace(model.root, left=pass_leaf, right=fail_leaf))
+    assert {p.index for p in predict_many(stump, renamed, defined)} == {1}
+    assert {predict(stump, renamed, i).index for i in defined} == {1}
+    fail_side = replace(model, root=model.root.right)
+    assert predict_many(model, renamed, defined) == predict_many(fail_side, renamed, defined)
+    assert [singles[i] for i in defined] == predict_many(fail_side, renamed, defined)
 
 
 def test_contains_tests_stay_linear_in_a_larger_dictionary():
@@ -252,7 +260,7 @@ def test_the_kept_predictions_go_with_their_model():
     data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
     model = grow_tree(data.db, LearnParams())
     _predict_every_row(model, data.db)
-    # A prediction the kept list holds; the model's router holds it too.
+    # A prediction the kept list holds; the model's leaf predictions hold it too.
     kept = weakref.ref(model._requests[data.db][0])
     enabled = gc.isenabled()
     gc.disable()
@@ -300,20 +308,14 @@ def test_a_model_checks_each_database_it_fits_once(monkeypatch):
     assert len(compared) == 41  # the schema fingerprint is still compared on every call
 
 
-def test_a_model_compiles_its_router_once(monkeypatch):
+def test_a_model_makes_its_leaf_predictions_once():
     data = generate_school_db(47, SchoolSpec(n_professors=150, rule="avg_grade", label_noise=0.1))
     model = grow_tree(data.db, LearnParams())
-    compiled = []
-    real = tree_module._compile
-
-    def counting(m):
-        compiled.append(m)
-        return real(m)
-
-    monkeypatch.setattr(tree_module, "_compile", counting)
     first = predict_many(model, data.db, range(150))
-    assert predict_many(model, data.db, range(150)) == first
-    assert len(compiled) == 1 and compiled[0] is model
+    again = predict_many(model, data.db, range(149, -1, -1))
+    # Each call hands out the model's own Prediction objects, not copies made per call.
+    assert len(first) == 150 and all(p is q for p, q in zip(first, reversed(again)))
+    assert all(predict(model, data.db, i) is first[i] for i in range(150))
 
 
 def test_a_finished_request_leaves_no_cyclic_garbage():
