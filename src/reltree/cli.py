@@ -172,10 +172,12 @@ def _cmd_predict(args) -> int:
             writer.writerow([pk_values[row_id], p.label, f"{p.confidence:.6g}"])
 
     labeled_ids, labels, classes = target_labels(db)
-    known = {int(r): int(y) for r, y in zip(labeled_ids, labels)}
+    # Labels, not class codes: this database codes its classes in the order
+    # its CSV lists them, which need not be the order of the model's classes.
+    known = {int(r): classes[y] for r, y in zip(labeled_ids, labels)}
     scored = [(p, known[r]) for r, p in zip(row_ids, preds) if r in known]
     if scored:
-        acc = sum(1 for p, y in scored if p.index == y) / len(scored)
+        acc = sum(1 for p, y in scored if p.label == y) / len(scored)
         print(f"predicted {len(preds)} instances -> {args.out} (accuracy on {len(scored)} labeled: {acc:.4f})")
     else:
         print(f"predicted {len(preds)} instances -> {args.out}")

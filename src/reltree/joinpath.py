@@ -183,18 +183,20 @@ class JoinInstantiation:
 
 
 def root_instantiation(db: Database, instance_ids=None) -> JoinInstantiation:
-    """Identity instantiation: each target instance maps to the singleton bag of itself."""
-    target = db.catalog.target_table
+    """Identity instantiation: each target instance maps to the singleton bag of itself.
+
+    The instances are ``instance_ids`` in the order given (every target-table
+    row when None), and the instantiation's arrays may share the caller's
+    array.  :meth:`JoinInstantiation.restrict` needs them ascending, so
+    training passes ascending ids; prediction, which never restricts, passes
+    its request's ids as they come.
+    """
     if instance_ids is None:
-        ids = np.arange(db.tables[target].n_rows, dtype=np.int64)
+        ids = np.arange(db.tables[db.catalog.target_table].n_rows, dtype=np.int64)
     else:
-        ids = np.sort(np.asarray(instance_ids, dtype=np.int64))
-    return JoinInstantiation(
-        path=empty_path(db.catalog),
-        instance_ids=ids,
-        offsets=np.arange(len(ids) + 1, dtype=np.int64),
-        rows=ids.copy(),
-    )
+        ids = np.asarray(instance_ids, dtype=np.int64)
+    # Positional arguments: prediction makes one of these per request, and keywords cost more.
+    return JoinInstantiation(empty_path(db.catalog), ids, np.arange(len(ids) + 1, dtype=np.int64), ids)
 
 
 def join_hop(db: Database, inst: JoinInstantiation, path: JoinPath) -> JoinInstantiation:

@@ -136,9 +136,6 @@ class _Columns(Sequence):
             return [self._table.column(j) for j in range(len(self))[i]]
         return self._table.column(range(len(self))[i])
 
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
 
 class LocalDataTable:
     """Tree nodes' rows: instance ids, class labels, feature blocks, frontier and segments.

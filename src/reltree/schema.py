@@ -68,12 +68,6 @@ class TableSchema:
     columns: tuple[ColumnSpec, ...]
     source_file: str
 
-    def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise SchemaError(f"table {self.name} has no column {name!r}")
-
     @property
     def primary_key(self) -> ColumnSpec:
         for c in self.columns:
@@ -138,10 +132,6 @@ class SchemaCatalog:
             return self._by_name[name]
         except KeyError:
             raise SchemaError(f"unknown table {name!r}") from None
-
-    @property
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tables)
 
     def __post_init__(self) -> None:
         doc = {

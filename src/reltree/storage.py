@@ -120,49 +120,39 @@ class KeyIndex:
 
 
 class Measurement:
-    """Counter deltas collected while a :meth:`JoinStats.measure` scope is open."""
+    """Work counted while one :meth:`JoinStats.measure` scope is open."""
 
-    __slots__ = ("lookups_by_depth", "features", "paths", "descriptors")
+    __slots__ = ("lookups_by_depth", "features", "paths")
 
     def __init__(self) -> None:
         self.lookups_by_depth: Counter[int] = Counter()
         self.features = 0
         self.paths: set[str] = set()
-        self.descriptors: set[str] = set()
-
-    @property
-    def total_lookups(self) -> int:
-        return sum(self.lookups_by_depth.values())
-
-    def lookups_at_depth_ge(self, depth: int) -> int:
-        return sum(n for d, n in self.lookups_by_depth.items() if d >= depth)
 
 
 class JoinStats:
-    """Monotone instrumentation of join-lookup and feature-construction work.
+    """Join-lookup and feature-construction work, counted only inside :meth:`measure` scopes.
 
     Counts cover feature construction (instantiation joins and materialized
-    feature columns), not model application.  Scopes opened with
-    :meth:`measure` nest: each open scope sees all the work done while it is
-    open, its inner scopes' included, next to the lifetime totals.
+    feature columns), not model application.  Scopes nest: each open scope
+    sees all the work done while it is open, its inner scopes' included.
+    With no scope open nothing is counted.
     """
 
     def __init__(self) -> None:
-        self.lifetime = Measurement()
         self._frames: list[Measurement] = []
 
     def count_lookups(self, path_length: int, n: int) -> None:
         if n <= 0:
             return
-        for m in (self.lifetime, *self._frames):
+        for m in self._frames:
             m.lookups_by_depth[path_length] += n
 
-    def count_features(self, path_render: str | None, names: list[str]) -> None:
-        if not names:
+    def count_features(self, path_render: str | None, n: int) -> None:
+        if n <= 0:
             return
-        for m in (self.lifetime, *self._frames):
-            m.features += len(names)
-            m.descriptors.update(names)
+        for m in self._frames:
+            m.features += n
             if path_render is not None:
                 m.paths.add(path_render)
 

@@ -62,7 +62,7 @@ from .features import (
     FeatureDescriptor,
     feature_cells,
 )
-from .joinpath import JoinInstantiation, JoinPath, computed_once, join_hop
+from .joinpath import JoinInstantiation, JoinPath, computed_once, join_hop, root_instantiation
 from .ldt import (
     LocalDataTable,
     _check_ids,
@@ -580,11 +580,11 @@ class _Request(dict):
     """One prediction call's columns, by descriptor: each computed on its first lookup, for every row.
 
     A missing column's path is joined first.  Joins are kept by path,
-    starting from the target table's own, whose bag of each row is the row
-    itself; a path not joined yet is its prefix one hop shorter, found the
-    same way, extended by :func:`.joinpath.join_hop`, which adds nothing to
-    ``db.stats``.  Each join keeps the attribute aggregates the descriptors
-    of its path share.  A dict, so that a node finds a column computed
+    starting from the target table's own, the request's
+    :func:`.joinpath.root_instantiation`; a path not joined yet is its
+    prefix one hop shorter, found the same way, extended by
+    :func:`.joinpath.join_hop`, which adds nothing to ``db.stats``.  Each
+    join keeps the attribute aggregates the descriptors of its path share.  A dict, so that a node finds a column computed
     already by plain subscription; it holds no reference cycle, so a
     finished request is freed at once, not by the cyclic collector.  No
     request outlives the call that made it.
@@ -593,8 +593,8 @@ class _Request(dict):
     def __init__(self, db: Database, ids: np.ndarray) -> None:
         super().__init__()
         self.db = db
-        start = JoinPath(db.catalog.target_table)
-        self.joins = {start: (JoinInstantiation(start, ids, np.arange(len(ids) + 1, dtype=np.int64), ids), {})}
+        start = root_instantiation(db, ids)
+        self.joins = {start.path: (start, {})}
 
     def join(self, path: JoinPath) -> tuple[JoinInstantiation, dict]:
         found = self.joins.get(path)
@@ -837,7 +837,6 @@ def _node_doc(node: TreeNode, desc_index: dict[FeatureDescriptor, int]) -> dict:
     }
 
 
-_TEST_KINDS = ("numeric_le", "categorical_eq", "boolean_true")
 _ROUTES = ("pass", "fail")
 
 
@@ -864,7 +863,7 @@ def _tree_from_doc(doc: dict, descriptors: tuple[FeatureDescriptor, ...], n_clas
             raise _invalid(f"{at}.descriptor", f"no descriptor {index!r}")
         got = {k: _get(t, k, at) for k in _TEST_FIELDS}
         kind, threshold, value, route = got["kind"], got["threshold"], got["value"], got["undefined_route"]
-        if kind not in _TEST_KINDS:
+        if kind not in _TEST_CELLS:
             raise _invalid(f"{at}.kind", f"unknown test kind {kind!r}")
         if kind == "numeric_le" and (type(threshold) not in (int, float) or math.isnan(threshold)):
             raise _invalid(f"{at}.threshold", f"expected a number, not {threshold!r}")

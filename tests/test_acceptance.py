@@ -106,8 +106,9 @@ def test_criterion_3_laziness():
         grow_tree(shallow.db, PARAMS)
     with shallow.db.stats.measure() as eager_m:
         train_flat(shallow.db, 3, PARAMS)
-    deep_lookups = lazy_m.lookups_at_depth_ge(2)
-    ok = deep_lookups == 0 and lazy_m.total_lookups < eager_m.total_lookups
+    deep_lookups = sum(n for d, n in lazy_m.lookups_by_depth.items() if d >= 2)
+    lazy_total, eager_total = sum(lazy_m.lookups_by_depth.values()), sum(eager_m.lookups_by_depth.values())
+    ok = deep_lookups == 0 and lazy_total < eager_total
     # monotone laziness holds per path length, not just in total
     ok = ok and all(n <= eager_m.lookups_by_depth.get(d, 0) for d, n in lazy_m.lookups_by_depth.items())
 
@@ -116,16 +117,16 @@ def test_criterion_3_laziness():
     for strategy in ("restricted", "unrestricted"):
         with deep.db.stats.measure() as m:
             grow_tree(deep.db, LearnParams(strategy=strategy))
-        totals[strategy] = m.total_lookups
+        totals[strategy] = sum(m.lookups_by_depth.values())
     with deep.db.stats.measure() as m:
         train_flat(deep.db, 3, PARAMS)
-    totals["eager"] = m.total_lookups
+    totals["eager"] = sum(m.lookups_by_depth.values())
     ok = ok and totals["restricted"] <= totals["unrestricted"] <= totals["eager"]
     _criterion(
         3,
         "laziness",
         ok,
-        f"depth>=2 lookups={deep_lookups}, lazy={lazy_m.total_lookups} < eager={eager_m.total_lookups}; "
+        f"depth>=2 lookups={deep_lookups}, lazy={lazy_total} < eager={eager_total}; "
         f"deep concept {totals}",
     )
 

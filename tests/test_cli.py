@@ -47,6 +47,37 @@ def test_synth_learn_predict_pipeline(school_paths, tmp_path, capsys):
     assert 0.0 <= float(rows[1][2]) <= 1.0
 
 
+def test_predict_accuracy_compares_labels_not_class_codes(school_paths, tmp_path, capsys):
+    """A database that lists its classes in another order than the training data still scores by label."""
+    model_path = tmp_path / "model.json"
+    run(["learn", "--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths),
+         "--out", str(model_path)])
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    for f in school_paths.iterdir():
+        (moved / f.name).write_bytes(f.read_bytes())
+    with open(school_paths / "professor.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    label = header.index("popular")
+    other = next(i for i, r in enumerate(rows) if r[label] != rows[0][label])
+    rows.insert(0, rows.pop(other))  # the other class now comes first, so its code is 0
+    with open(moved / "professor.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    capsys.readouterr()
+
+    preds_path = tmp_path / "preds.csv"
+    code = run(["predict", "--model", str(model_path), "--schema", str(moved / "schema.yaml"),
+                "--data", str(moved), "--out", str(preds_path)])
+    assert code == 0
+    m = re.search(r"accuracy on (\d+) labeled: ([\d.]+)", capsys.readouterr().out)
+    with open(preds_path, newline="", encoding="utf-8") as fh:
+        predicted = {r["instance_id"]: r["predicted_class"] for r in csv.DictReader(fh)}
+    truth = {r[0]: r[label] for r in rows}
+    share = sum(predicted[pid] == y for pid, y in truth.items()) / len(truth)
+    assert m and int(m.group(1)) == len(truth)
+    assert float(m.group(2)) == pytest.approx(share, abs=5e-5) and share == 1.0
+
+
 def test_predict_with_ids_file(school_paths, tmp_path):
     model_path = tmp_path / "model.json"
     run(["learn", "--schema", str(school_paths / "schema.yaml"), "--data", str(school_paths),

@@ -7,6 +7,7 @@ import pytest
 from oracles import flat_cells, random_micro_db
 
 import reltree.eager as eager_module
+import reltree.ldt as ldt_module
 from reltree.eager import (
     BudgetExceededError,
     enumerate_paths,
@@ -16,6 +17,7 @@ from reltree.eager import (
     train_flat,
 )
 from reltree.evaluate import SchoolSpec, generate_school_db
+from reltree.features import features_for_path
 from reltree.ldt import build_root_ldt, training_rows
 from reltree.params import LearnParams
 from reltree.schema import catalog_from_dict
@@ -141,13 +143,39 @@ def test_eager_root_split_agrees_with_lazy_root():
     assert lazy.root.ig == pytest.approx(eager.root.ig, abs=1e-12)
 
 
-def test_lazy_descriptors_subset_of_eager_universe():
+def test_lazy_descriptors_subset_of_eager_universe(monkeypatch):
     data = generate_school_db(9, SchoolSpec(n_professors=120, rule="avg_grade"))
-    with data.db.stats.measure() as m:
-        grow_tree(data.db, PARAMS)
+    materialized = set()
+
+    def recording(db, inst, params):
+        cols = features_for_path(db, inst, params)
+        materialized.update(c.descriptor.name for c in cols)
+        return cols
+
+    monkeypatch.setattr(ldt_module, "features_for_path", recording)
+    grow_tree(data.db, PARAMS)
     flat = propositionalize(data.db, None, PARAMS)
     universe = {c.descriptor.name for c in flat.columns}
-    assert m.descriptors <= universe
+    assert materialized and materialized <= universe
+
+
+def test_work_outside_a_measure_scope_is_not_counted():
+    """With no scope open nothing is kept, and a scope opened later counts what it did before."""
+    db = generate_school_db(9, SchoolSpec(n_professors=120, rule="avg_grade")).db
+
+    def learn_all():
+        grow_tree(db, PARAMS)
+        train_flat(db, 3, PARAMS)
+        propositionalize(db, None, PARAMS)
+
+    with db.stats.measure() as before:
+        learn_all()
+    learn_all()
+    assert vars(db.stats) == {"_frames": []}
+    with db.stats.measure() as after:
+        learn_all()
+    assert before.features > 0 and before.paths and sum(before.lookups_by_depth.values()) > 0
+    assert (after.lookups_by_depth, after.features, after.paths) == (before.lookups_by_depth, before.features, before.paths)
 
 
 def test_enumerate_paths_unbounded_terminates(school_catalog):

@@ -122,6 +122,8 @@ def test_root_instantiation(school_db):
         assert list(inst.bag(i)) == [i]
     empty = root_instantiation(school_db, [])
     assert empty.n_instances == 0
+    given = root_instantiation(school_db, [2, 0, 2])  # prediction's order, repeats included
+    assert list(given.instance_ids) == [2, 0, 2] and [list(given.bag(i)) for i in range(3)] == [[2], [0], [2]]
 
 
 def test_extend_instantiation_lupin(school_catalog, school_db):
@@ -259,13 +261,12 @@ def test_lookup_counter_monotone_and_depth_tagged(school_catalog, school_db):
     assert m.lookups_by_depth[1] == 4  # one lookup per professor
     assert m.lookups_by_depth[2] == 3  # one per course row reached
     assert m.lookups_by_depth[3] == 5  # one per enrollment row reached
-    assert m.total_lookups == 12
+    assert sum(m.lookups_by_depth.values()) == 12
 
 
 def test_nested_measure_scopes(school_catalog, school_db):
     course = _path_by_render(initial_paths(school_catalog), "Professor->Course(PID)")
     full = candidate_extensions(school_catalog, course)[0]
-    lifetime_before = school_db.stats.lifetime.total_lookups
     with school_db.stats.measure() as outer:
         cache = {empty_path(school_catalog): root_instantiation(school_db)}
         instantiate(school_db, course, cache)  # outer only: 4 lookups at depth 1
@@ -276,4 +277,3 @@ def test_nested_measure_scopes(school_catalog, school_db):
     assert dict(outer.lookups_by_depth) == {1: 4, 2: 3, 3: 5}
     assert inner.features == outer.features == n_features > 0
     assert inner.paths == outer.paths == {full.render()}
-    assert school_db.stats.lifetime.total_lookups - lifetime_before == 12

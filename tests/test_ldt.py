@@ -48,7 +48,7 @@ def test_root_ldt_with_no_paths_and_no_attributes_has_no_columns():
     doc = {"target": "T.y", "tables": [{"name": "T", "columns": [{"id": "pk"}, {"y": "cat"}]}]}
     db = build_database(catalog_from_dict(doc), {"T": [{"id": "1", "y": "a"}, {"id": "2", "y": "b"}]})
     ldt = build_root_ldt(db, RESTRICTED)
-    assert ldt.columns == []
+    assert len(ldt.columns) == 0
     assert ldt.frontier == {}
 
 

@@ -17,7 +17,7 @@ from reltree.schema import (
 
 def test_load_school_schema(school_dir):
     catalog = load_schema(school_dir / "schema.yaml")
-    assert sorted(catalog.table_names) == ["Course", "Enrolled", "Movie", "Professor", "Student"]
+    assert sorted(t.name for t in catalog.tables) == ["Course", "Enrolled", "Movie", "Professor", "Student"]
     assert catalog.target_table == "Professor"
     assert catalog.target_attribute == "popular"
     assert len(catalog.fk_edges) == 4
@@ -70,7 +70,7 @@ def test_unreachable_tables_are_dropped_with_warning(school_catalog):
     doc["tables"].append({"name": "Island", "columns": [{"id": "pk"}, {"z": "num"}]})
     catalog = catalog_from_dict(doc)
     assert catalog.unreachable == ("Island",)
-    assert "Island" not in catalog.table_names
+    assert "Island" not in [t.name for t in catalog.tables]
 
 
 def test_school_depths(school_catalog):
@@ -159,7 +159,7 @@ def test_stored_graph_matches_the_oracle():
     for doc in docs:
         catalog = catalog_from_dict(doc)
         assert table_depths(catalog) == oracles.depths(doc)
-        for table in catalog.table_names:
+        for table in [t.name for t in catalog.tables]:
             hops = neighbors(catalog, table)
             assert all(h.from_table == table for h in hops)
             assert [(h.from_column, h.to_table, h.to_column, h.label) for h in hops] == oracles.neighbors(doc, table)
